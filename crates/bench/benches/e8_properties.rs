@@ -35,7 +35,7 @@ fn main() {
     let mut tb = testbed_with_properties(1, 3);
     tb.set_managed("R1", true).unwrap();
     tb.run_for(SimDuration::from_secs(1));
-    tb.digi("O1").unwrap().borrow_mut().force_fields(tb.sim(), vmap! { "triggered" => false });
+    tb.digi("O1").unwrap().borrow_mut().force_fields(tb.sim(), "O1", vmap! { "triggered" => false });
     tb.run_for(SimDuration::from_millis(100));
     let before = tb.now();
     tb.edit("L1", vmap! { "power" => "on" }).unwrap();

@@ -223,11 +223,9 @@ fn scale_pooled(digis: usize, virtual_secs: u64) -> (f64, u64, u64, u64, Value) 
     tb.run_for(SimDuration::from_secs(virtual_secs));
     let wall = t.elapsed().as_secs_f64();
     let events = tb.sim().events_processed() - events_before;
-    let (ticks, batched) = pools.iter().fold((0u64, 0u64), |(t, b), p| {
-        let s = p.borrow().stats();
-        (t + s.ticks_dispatched, b + s.batched_deliveries)
-    });
+    let ticks: u64 = pools.iter().map(|p| p.borrow().stats().ticks_dispatched).sum();
     let snap = tb.obs_snapshot();
+    let batched = snap.counter("kernel.batched_deliveries");
     let depth = snap
         .histograms
         .iter()
@@ -243,8 +241,8 @@ fn scale_pooled(digis: usize, virtual_secs: u64) -> (f64, u64, u64, u64, Value) 
     (wall, events, ticks, batched, depth)
 }
 
-/// The E13 baseline: the same digi kind, one microservice (and one kernel
-/// timer) per digi — the pre-arena execution mode.
+/// The E13 baseline: the same digi kind, one microservice (a one-cell
+/// pool with its own session and kernel timer) per digi.
 fn scale_per_digi(digis: usize, virtual_secs: u64) -> (f64, u64) {
     // dedicated mock pods are 5 cpu millis each on 4000-milli nodes
     let nodes = (digis / 512 + 2) as u32;

@@ -15,11 +15,11 @@ use std::collections::BTreeMap;
 
 use digibox_model::json::quote as json_str;
 use digibox_net::chaos::{self, FaultKind, FaultPlan, FaultWindow};
-use digibox_net::{LinkState, NodeId, SimDuration, SimTime};
+use digibox_net::{NodeId, SimDuration, SimTime};
 use digibox_trace::RecordKind;
 
 use crate::islands::{self, IslandSpec, IslandsConfig};
-use crate::sweep;
+use crate::sweep::{self, SweepOutcome};
 use crate::testbed::Testbed;
 
 /// A fault plan bound to a seed sweep.
@@ -252,20 +252,7 @@ impl Campaign {
             let mut tb = build(seed).map_err(|e| e.to_string())?;
             Ok(self.run_seed(seed, &mut tb))
         });
-        let mut per_seed = Vec::with_capacity(outcome.runs.len());
-        let mut errors = Vec::new();
-        for run in outcome.runs {
-            match run.result {
-                Ok(report) => per_seed.push(report),
-                Err(e) => errors.push(SeedFailure { seed: run.seed, error: e.to_string() }),
-            }
-        }
-        Ok(Scorecard {
-            plan: self.plan.name.clone(),
-            convergence_ms: self.plan.convergence_ms,
-            per_seed,
-            errors,
-        })
+        Ok(self.scorecard(outcome))
     }
 
     /// Run the plan once per seed with each run executed space-parallel
@@ -315,6 +302,13 @@ impl Campaign {
             )?;
             Ok(merge_island_reports(seed, run.results))
         });
+        Ok(self.scorecard(outcome))
+    }
+
+    /// Merge a sweep's per-seed outcomes, in seed order, into the
+    /// plan's scorecard: reports for the seeds that ran, failures for the
+    /// rest.
+    fn scorecard(&self, outcome: SweepOutcome<SeedReport>) -> Scorecard {
         let mut per_seed = Vec::with_capacity(outcome.runs.len());
         let mut errors = Vec::new();
         for run in outcome.runs {
@@ -323,12 +317,12 @@ impl Campaign {
                 Err(e) => errors.push(SeedFailure { seed: run.seed, error: e.to_string() }),
             }
         }
-        Ok(Scorecard {
+        Scorecard {
             plan: self.plan.name.clone(),
             convergence_ms: self.plan.convergence_ms,
             per_seed,
             errors,
-        })
+        }
     }
 
     /// Execute the plan's windows against one testbed. Fault times are
@@ -388,7 +382,7 @@ impl Campaign {
                 }
             }
             if topo_dirty {
-                reapply_topology(tb, &baseline, &windows, &active);
+                islands::reapply_links(tb.sim().topology_mut(), &baseline, &windows, &active);
             }
         }
 
@@ -538,39 +532,8 @@ fn merge_island_reports(seed: u64, reports: Vec<SeedReport>) -> SeedReport {
     merged
 }
 
-/// Recompute link state from the baseline plus every active topology
-/// fault, in spec order. Recompute-from-baseline (rather than undoing
-/// individual faults) keeps overlapping partitions/degradations correct.
-fn reapply_topology(
-    tb: &mut Testbed,
-    baseline: &LinkState,
-    windows: &[FaultWindow],
-    active: &[bool],
-) {
-    let topo = tb.sim().topology_mut();
-    topo.restore_links(baseline.clone());
-    for (i, w) in windows.iter().enumerate() {
-        if !active[i] {
-            continue;
-        }
-        match &w.kind {
-            FaultKind::Partition { left, right } => {
-                let (l, r) = FaultPlan::partition_nodes(left, right);
-                topo.partition(&l, &r);
-            }
-            FaultKind::Degrade { loss, extra_delay_ms, extra_jitter_ms } => {
-                topo.degrade_all(
-                    *loss,
-                    SimDuration::from_millis(*extra_delay_ms),
-                    SimDuration::from_millis(*extra_jitter_ms),
-                );
-            }
-            FaultKind::CrashDigi { .. } | FaultKind::NodeDown { .. } | FaultKind::CrashBroker => {}
-        }
-    }
-}
-
 #[cfg(test)]
+#[allow(clippy::module_inception)] // keeps the `campaign::campaign::*` test ids
 mod campaign {
     use super::*;
 

@@ -175,7 +175,7 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 fn unhex(s: &str) -> Option<Vec<u8>> {
-    if s.len() % 2 != 0 {
+    if !s.len().is_multiple_of(2) {
         return None;
     }
     (0..s.len() / 2).map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).ok()).collect()
@@ -258,6 +258,7 @@ fn session_from_value(j: &Value) -> Result<SessionSnapshot, JsonError> {
 }
 
 #[cfg(test)]
+#[allow(clippy::module_inception)] // keeps the `checkpoint::checkpoint::*` test ids
 mod checkpoint {
     use super::*;
     use digibox_model::vmap;

@@ -48,7 +48,7 @@ use digibox_net::{
 };
 use digibox_obs as obs;
 
-use crate::sweep::resolve_jobs;
+use crate::sweep::{panic_message, resolve_jobs};
 use crate::testbed::Testbed;
 
 /// UDP-style port of the per-island uplink beacon service.
@@ -56,7 +56,7 @@ const UPLINK_PORT: u16 = 48;
 /// Port of the island-0 aggregator the uplinks report to.
 const AGG_PORT: u16 = 47;
 /// Timer token used by [`IslandUplink`].
-const UPLINK_TIMER: TimerToken = 0x0151_A4D;
+const UPLINK_TIMER: TimerToken = 0x0015_1A4D;
 
 /// Everything an island builder needs to construct its [`Testbed`]:
 /// the campaign seed, the island's identity, and the shared cluster
@@ -81,8 +81,11 @@ pub struct IslandEnv {
 pub struct IslandSpec {
     /// Human-readable island name, used in failure messages.
     pub name: String,
-    build: Box<dyn FnOnce(&IslandEnv) -> crate::Result<Testbed> + Send>,
+    build: IslandBuilder,
 }
+
+/// An island's testbed constructor, run once on its worker thread.
+type IslandBuilder = Box<dyn FnOnce(&IslandEnv) -> crate::Result<Testbed> + Send>;
 
 impl IslandSpec {
     /// Package a named island builder. The builder runs *inside* the
@@ -314,17 +317,6 @@ impl Service for IslandAggregator {
     }
 }
 
-/// Duplicate of the sweep engine's private panic formatter.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Align an island to the global start time, install its island scope and
 /// bind the cross-island beacon services.
 fn start_island(st: &mut IslandState, t0: SimTime, period: SimDuration) {
@@ -399,6 +391,7 @@ fn run_epoch(
 
 /// Worker thread body: build the owned islands, then serve the
 /// coordinator's command stream until `Finish` (or failure).
+#[allow(clippy::too_many_arguments)] // the per-thread half of `run`'s arguments
 fn worker_main<R, F>(
     islands: Vec<(usize, IslandSpec)>,
     seed: u64,
@@ -637,8 +630,9 @@ fn transitions_at(
 /// Rebuild link shaping from the pristine baseline plus the currently
 /// active partition/degrade windows. Used identically on the
 /// coordinator's topology copy (for lookahead recomputation) and on every
-/// island's own topology, so all clocks agree on link state.
-fn reapply_links(
+/// island's own topology, so all clocks agree on link state. Serial chaos
+/// campaigns (`core::campaign`) rebuild their one topology the same way.
+pub(crate) fn reapply_links(
     topo: &mut Topology,
     baseline: &LinkState,
     windows: &[FaultWindow],

@@ -17,9 +17,13 @@
 //!   (the Rust equivalent of the paper's Python `dbox` library, Fig. 4/5):
 //!   an event-generation handler run on a configurable loop and a
 //!   simulation handler run on model change.
-//! * [`DigiService`] — the microservice wrapper: each digi runs as its own
-//!   service on the simulated network, speaking MQTT to the broker and
-//!   HTTP to applications.
+//! * [`DigiCell`] — one digi's transport-independent state machine
+//!   (model, program, attachment mirror, logging).
+//! * [`DigiPool`] — the one host of cells: a service on the simulated
+//!   network speaking MQTT to the broker and HTTP to applications. A
+//!   dedicated digi is a one-cell pool on its own session (every digi is
+//!   a pod, paper §4); a shared pool runs many cells on one session (the
+//!   paper's §6 FaaS question).
 //! * [`Testbed`] — the runtime: simulated cluster + control plane + broker
 //!   + trace log, orchestrating digi pods (paper §4).
 //! * [`Dbox`] — the Table-1 command API (`run`, `stop`, `check`, `watch`,
@@ -46,7 +50,6 @@ mod catalog;
 pub mod cell;
 pub mod checkpoint;
 mod dbox;
-mod digi;
 pub mod footprint;
 pub mod islands;
 pub mod pool;
@@ -64,7 +67,6 @@ pub use cell::{CellStats, DigiCell, Outbox};
 pub use checkpoint::{CheckpointInfo, CheckpointStore};
 pub use catalog::{Catalog, CatalogError};
 pub use dbox::Dbox;
-pub use digi::{DigiService, DigiStats};
 pub use footprint::Footprint;
 pub use islands::{IslandEnv, IslandSpec, IslandsConfig, IslandsRun};
 pub use pool::{Arena, DigiArena, DigiId, DigiPool, PoolStats};

@@ -1,29 +1,37 @@
-//! `DigiPool` — many digis behind one service: the paper's §6 open
-//! question made concrete.
+//! `DigiPool` — the one host of [`DigiCell`]s. It owns the network
+//! endpoint, the MQTT session, the REST API and all timing (loop ticks,
+//! actuation delays, load-dependent service overhead) for the cells it
+//! hosts. Two shapes of the same host cover the paper's two execution
+//! models:
 //!
-//! > "an open question is how to make these large-scale simulations more
-//! > efficient, i.e., running a higher number of mocks/scenes with a fixed
-//! > amount of compute resource budget. E.g., given the event-driven
-//! > nature of IoT apps, whether/how we can leverage Function-as-a-Service
-//! > (FaaS) to run the simulator logic of mocks and scenes."
+//! * **A dedicated digi** ([`DigiPool::dedicated`]) hosts exactly one cell
+//!   on the digi's own session — client id `digi/<name>`, with a
+//!   last-will on [`topics::lwt`] so watchers learn about crashes. This is
+//!   the paper's deployment model: every mock and scene is its own pod
+//!   (§4). A one-cell host also serves unprefixed REST paths.
+//! * **A shared pool** ([`DigiPool::new`]) is the FaaS executor of the
+//!   paper's §6 open question:
 //!
-//! A pool is the FaaS executor: it hosts N [`DigiCell`]s behind **one**
-//! network endpoint and **one** MQTT session, invoking each cell's handlers
-//! only when its events are due or its messages arrive. Compared to
-//! one-microservice-per-mock this removes the per-digi broker session and
-//! per-digi endpoint — the fixed-cost floor that dominates at thousands of
-//! mostly-idle mocks. The `e9_faas_pooling` bench quantifies the
-//! difference.
+//!   > "an open question is how to make these large-scale simulations more
+//!   > efficient, i.e., running a higher number of mocks/scenes with a fixed
+//!   > amount of compute resource budget. E.g., given the event-driven
+//!   > nature of IoT apps, whether/how we can leverage Function-as-a-Service
+//!   > (FaaS) to run the simulator logic of mocks and scenes."
 //!
-//! ## Storage: arena + slabs + model columns
+//!   It hosts N cells behind **one** network endpoint and **one** MQTT
+//!   session, invoking each cell's handlers only when its events are due
+//!   or its messages arrive. Compared to one host per digi this removes
+//!   the per-digi broker session and endpoint — the fixed-cost floor that
+//!   dominates at thousands of mostly-idle mocks. The `e9_faas_pooling`
+//!   bench quantifies the difference.
 //!
-//! Cells live in a [`DigiArena`] — contiguous slabs addressed by a dense
-//! [`DigiId`] (a packed slot index plus a generation tag, so a recycled
-//! slot invalidates every stale handle) — instead of a per-digi
-//! `Rc<RefCell<...>>` object graph. The scalar leaves of every hosted
-//! model are mirrored into a struct-of-arrays [`ColumnStore`] keyed by
-//! interned attribute ids, so bulk reads (checkpointing, state digests)
-//! scan dense columns instead of walking N separate field trees.
+//! ## Storage: arena + slabs
+//!
+//! Cells live in a [`DigiArena`] — slabs addressed by a dense [`DigiId`]
+//! (a packed slot index plus a generation tag, so a recycled slot
+//! invalidates every stale handle) — instead of a per-digi
+//! `Rc<RefCell<...>>` object graph. Checkpoints read each cell's
+//! `model.fields()` directly.
 //!
 //! ## Scheduling: one wheel entry per (interval, pool)
 //!
@@ -34,15 +42,19 @@
 //! this turns 100k queue entries into a handful. Cells hosted into an
 //! already-armed group adopt the group's phase (they first tick at the
 //! group's next firing); stale members left behind by evictions are
-//! skipped and compacted on the next firing. Same-instant datagram batches
-//! coalesced by the kernel ([`Service::on_datagram_batch`]) are ingested
-//! whole and pumped once per batch.
+//! skipped and compacted on the next firing. A session the broker lost is
+//! re-established at the next group firing, before any cell ticks.
 //!
-//! Semantics are unchanged: pooled digis publish/subscribe the same topics
-//! and serve the same REST API (routed as `/digi/<name>/...`), so
-//! applications and parent scenes cannot tell a pooled mock from a
-//! dedicated one. Scenes can be pooled too, but the intended use is large
-//! fleets of mocks (the paper's 1000-sensor experiment).
+//! Datagrams are handled one at a time, each pumped as it arrives: the
+//! session acknowledges a message before its handler publishes, so the
+//! send order (and every link-RNG draw) is the same for any host shape.
+//!
+//! Semantics are the same for both shapes: hosted digis publish/subscribe
+//! the same topics and serve the same REST API (routed as
+//! `/digi/<name>/...`), so applications and parent scenes cannot tell a
+//! pooled mock from a dedicated one. Scenes can be pooled too, but the
+//! intended use is large fleets of mocks (the paper's 1000-sensor
+//! experiment).
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap}; // hash maps for keyed lookup; `dbox audit` (DH0002) checks every iteration site
@@ -51,7 +63,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 
 use digibox_broker::{ClientEvent, MqttConn, QoS};
-use digibox_model::{ColumnStore, Model, RowId, Value};
+use digibox_model::{Model, Path, Value};
 use digibox_net::httpx::{Request, Response};
 use digibox_net::transport::{ReliableEndpoint, TransportEvent};
 use digibox_net::{Addr, Datagram, Prng, Service, ServiceHandle, Sim, SimDuration, TimerToken};
@@ -61,13 +73,15 @@ use crate::cell::{DigiCell, Outbox};
 use crate::program::DigiProgram;
 use crate::topics;
 
-/// Tag bit for tick-group timers. Disjoint from the reliable-transport
-/// bit (1 << 63), the endpoint token spaces (bits 48..63) and the HTTP
-/// response tag (1 << 60). The low bits carry the group's interval in ms.
+/// Tag bit for tick-group timers. Like the other tags below it leaves the
+/// reliable-transport bit (1 << 63) clear, so no endpoint claims it. The
+/// low bits carry the group's interval in ms.
 const TICK_TOKEN_TAG: TimerToken = 1 << 59;
-/// Tag bit for delayed HTTP responses.
+/// Tag bit for delayed HTTP responses (service overhead).
 const RESPONSE_TOKEN_TAG: TimerToken = 1 << 60;
-/// Token space of the HTTP endpoint.
+/// Tag bit for delayed intents (actuation latency).
+const ACTUATION_TOKEN_TAG: TimerToken = 1 << 61;
+/// Token space of the HTTP endpoint (the MQTT session uses space 1).
 const HTTP_TOKEN_SPACE: u16 = 2;
 
 // ---- arena -----------------------------------------------------------------
@@ -78,8 +92,8 @@ const ID_SLOT_BITS: u32 = 20;
 const ID_SLOT_MASK: u32 = (1 << ID_SLOT_BITS) - 1;
 /// Remaining bits tag the generation; wraps after 4096 recycles of a slot.
 const ID_GEN_MASK: u32 = (1 << (32 - ID_SLOT_BITS)) - 1;
-/// Entries per slab: large enough for cache-dense scans, small enough that
-/// growing a mostly-empty pool doesn't overallocate.
+/// Entries per slab: large enough for cache-dense scans. A slab grows
+/// like any `Vec` up to this size, so a one-cell host stays small.
 const SLAB_CAP: usize = 1024;
 
 /// Dense generational handle into an [`Arena`]: a packed `(slot, gen)`
@@ -115,8 +129,8 @@ struct ArenaSlot<T> {
     value: Option<T>,
 }
 
-/// Slab-backed generational arena: values live in contiguous fixed-size
-/// slabs, slots are recycled LIFO, and every handle carries a generation
+/// Slab-backed generational arena: values live in slabs of up to
+/// `SLAB_CAP` entries that never move between slabs, slots are recycled LIFO, and every handle carries a generation
 /// tag so a stale [`DigiId`] can never reach a recycled slot's new tenant.
 pub struct Arena<T> {
     slabs: Vec<Vec<ArenaSlot<T>>>,
@@ -172,8 +186,9 @@ impl<T> Arena<T> {
         let slot = self.next_slot;
         assert!(slot <= ID_SLOT_MASK, "arena full: 2^{ID_SLOT_BITS} slots");
         self.next_slot += 1;
-        if self.slabs.last().map_or(true, |s| s.len() == SLAB_CAP) {
-            self.slabs.push(Vec::with_capacity(SLAB_CAP));
+        if self.slabs.last().is_none_or(|s| s.len() == SLAB_CAP) {
+            // Start at one slot so a one-cell host holds exactly one.
+            self.slabs.push(Vec::with_capacity(1));
         }
         self.slabs
             .last_mut()
@@ -249,63 +264,99 @@ pub struct PoolStats {
     pub rest_requests: u64,
     /// MQTT messages routed into hosted cells.
     pub messages_in: u64,
-    /// Same-instant datagram batches ingested whole (kernel coalescing).
-    pub batched_deliveries: u64,
 }
 
 /// One tick group: every hosted cell sharing a loop interval, driven by a
 /// single kernel-wheel entry.
-#[derive(Default)]
 struct TickGroup {
+    interval_ms: u64,
     /// Members in host order; stale ids are compacted on firing.
     members: Vec<DigiId>,
     /// Whether a wheel entry for this group is in flight.
     armed: bool,
 }
 
-/// A FaaS-style executor hosting many digis behind one service.
+/// The service hosting one digi (dedicated) or many (a FaaS-style pool).
 pub struct DigiPool {
     addr: Addr,
     conn: MqttConn,
     http: ReliableEndpoint,
+    /// Last-will registered with every CONNECT (dedicated digis).
+    will: Option<(String, Bytes)>,
     arena: DigiArena,
     /// Name → id, sorted (iteration order = digest order).
     ids: BTreeMap<String, DigiId>,
-    /// Dense model columns mirroring every hosted cell's scalar leaves.
-    columns: ColumnStore,
-    /// Per-slot column row (`rows[slot]` valid while the slot is live).
-    rows: Vec<u32>,
-    /// Per-slot model revision last mirrored into the columns.
-    mirror_rev: Vec<u64>,
-    /// Interval (ms) → tick group; one wheel entry per armed group.
-    tick_groups: BTreeMap<u64, TickGroup>,
+    /// One group per distinct loop interval (a handful); one wheel entry
+    /// per armed group.
+    tick_groups: Vec<TickGroup>,
+    /// Whether `on_start` ran; cells hosted before it start with it.
+    started: bool,
     service_overhead: SimDuration,
     overhead_rng: Prng,
+    pending_actuations: HashMap<TimerToken, (DigiId, Vec<(Path, Value)>)>,
+    next_actuation_token: u64,
     pending_responses: HashMap<TimerToken, (Addr, Bytes)>,
     next_response_token: u64,
+    /// Set when the MQTT session died (transport exhausted retries to the
+    /// broker, e.g. during a partition or a broker crash); the next tick
+    /// re-connects and re-subscribes, so coordination resumes after a heal.
+    reconnect_pending: bool,
+    broker_losses: u64,
     stats: PoolStats,
 }
 
 impl DigiPool {
-    /// A pool at `addr` speaking MQTT to `broker`, with per-message
-    /// service overhead applied to REST responses.
-    pub fn new(addr: Addr, broker: Addr, service_overhead: SimDuration) -> ServiceHandle<DigiPool> {
-        Rc::new(RefCell::new(DigiPool {
-            conn: MqttConn::new(addr, broker, &format!("pool/{addr}")),
-            http: ReliableEndpoint::new(addr).with_space(HTTP_TOKEN_SPACE),
+    fn with_session(
+        addr: Addr,
+        conn: MqttConn,
+        will: Option<(String, Bytes)>,
+        service_overhead: SimDuration,
+        overhead_rng: Prng,
+    ) -> DigiPool {
+        DigiPool {
             addr,
+            conn,
+            http: ReliableEndpoint::new(addr).with_space(HTTP_TOKEN_SPACE),
+            will,
             arena: Arena::new(),
             ids: BTreeMap::new(),
-            columns: ColumnStore::new(),
-            rows: Vec::new(),
-            mirror_rev: Vec::new(),
-            tick_groups: BTreeMap::new(),
+            tick_groups: Vec::new(),
+            started: false,
             service_overhead,
-            overhead_rng: Prng::new(addr.port as u64 ^ 0xF445),
+            overhead_rng,
+            pending_actuations: HashMap::new(),
+            next_actuation_token: 0,
             pending_responses: HashMap::new(),
             next_response_token: 0,
+            reconnect_pending: false,
+            broker_losses: 0,
             stats: PoolStats::default(),
-        }))
+        }
+    }
+
+    /// A shared pool at `addr` speaking MQTT to `broker` on one session,
+    /// with per-message service overhead applied to REST responses.
+    pub fn new(addr: Addr, broker: Addr, service_overhead: SimDuration) -> ServiceHandle<DigiPool> {
+        let conn = MqttConn::new(addr, broker, &format!("pool/{addr}"));
+        let overhead_rng = Prng::new(addr.port as u64 ^ 0xF445);
+        Rc::new(RefCell::new(DigiPool::with_session(addr, conn, None, service_overhead, overhead_rng)))
+    }
+
+    /// The host of the dedicated digi `name`, to hold that one digi: the
+    /// session is the digi's own (client id `digi/<name>`, last-will on
+    /// its `lwt` topic), and the service-overhead draws split off the
+    /// digi's RNG stream `rng`.
+    pub fn dedicated(
+        addr: Addr,
+        broker: Addr,
+        service_overhead: SimDuration,
+        name: &str,
+        rng: &Prng,
+    ) -> ServiceHandle<DigiPool> {
+        let conn = MqttConn::new(addr, broker, &format!("digi/{name}"));
+        let will = Some((topics::lwt(name), Bytes::from_static(b"offline")));
+        let overhead_rng = rng.split_str("service-overhead");
+        Rc::new(RefCell::new(DigiPool::with_session(addr, conn, will, service_overhead, overhead_rng)))
     }
 
     /// The pool's bound address.
@@ -328,9 +379,19 @@ impl DigiPool {
         PoolStats { cells: self.arena.len(), ..self.stats.clone() }
     }
 
+    /// How many times the pool's broker session died and was re-created.
+    pub fn broker_losses(&self) -> u64 {
+        self.broker_losses
+    }
+
     /// Hosted digi names, sorted.
     pub fn names(&self) -> Vec<&str> {
         self.ids.keys().map(String::as_str).collect()
+    }
+
+    /// Hosted cells in name order.
+    pub fn cells(&self) -> impl Iterator<Item = &DigiCell> {
+        self.ids.values().filter_map(|&id| self.arena.get(id))
     }
 
     /// The arena id of a hosted digi.
@@ -340,7 +401,7 @@ impl DigiPool {
 
     /// A hosted digi's current model, if hosted here.
     pub fn model(&self, name: &str) -> Option<&Model> {
-        self.arena.get(*self.ids.get(name)?).map(DigiCell::model)
+        self.cell(name).map(DigiCell::model)
     }
 
     /// A hosted digi's cell, if hosted here.
@@ -348,41 +409,31 @@ impl DigiPool {
         self.arena.get(*self.ids.get(name)?)
     }
 
-    /// The dense model columns (bulk readers: checkpointing, digests).
-    pub fn columns(&self) -> &ColumnStore {
-        &self.columns
+    /// A hosted digi's cell for in-place switches (`managed`, event
+    /// generation) that publish nothing.
+    pub fn cell_mut(&mut self, name: &str) -> Option<&mut DigiCell> {
+        self.arena.get_mut(*self.ids.get(name)?)
     }
 
-    /// A hosted digi's field tree, rebuilt from the dense columns (the
-    /// checkpoint read path: no walk of the cell's own tree).
-    pub fn snapshot_fields(&self, name: &str) -> Option<Value> {
-        let id = *self.ids.get(name)?;
-        let slot = id.slot() as usize;
-        self.arena.get(id)?;
-        self.columns.snapshot_row(RowId(self.rows[slot])).ok()
-    }
-
-    /// Overwrite a hosted digi's fields (checkpoint restore). The cell
-    /// keeps its slab slot and tick group; the model is republished and
-    /// the columns re-mirrored. Returns `false` if not hosted here.
-    pub fn restore_fields(&mut self, sim: &mut Sim, name: &str, fields: Value) -> bool {
-        let Some(&id) = self.ids.get(name) else {
-            return false;
-        };
+    /// Overwrite a hosted digi's fields and reprocess (replay steps,
+    /// checkpoint restore). The cell keeps its slab slot and tick group;
+    /// a changed model is republished. Returns `false` if not hosted here.
+    pub fn force_fields(&mut self, sim: &mut Sim, name: &str, fields: Value) -> bool {
         let now = sim.now();
-        let Some(cell) = self.arena.get_mut(id) else {
+        let Some(cell) = self.cell_mut(name) else {
             return false;
         };
         let mut out = Outbox::new();
         cell.force_fields(now, fields, &mut out);
         self.flush(sim, out);
-        self.sync_mirror(id);
         true
     }
 
-    /// Host a digi in this pool. Must be called *after* the pool is bound
-    /// (it subscribes and announces through the live session). Returns the
-    /// arena id of the new cell.
+    /// Host a digi in this pool. `model` should be freshly instantiated
+    /// from the program's schema (plus meta overrides). Before the pool
+    /// binds, the cell waits for `on_start` (children can be attached
+    /// meanwhile); afterwards it subscribes and announces through the live
+    /// session at once. Returns the arena id of the new cell.
     pub fn host(
         &mut self,
         sim: &mut Sim,
@@ -392,33 +443,18 @@ impl DigiPool {
         log: TraceLog,
         scene_logic_enabled: bool,
     ) -> DigiId {
-        let mut cell = DigiCell::new(model, program, rng, log, scene_logic_enabled);
+        let cell = DigiCell::new(model, program, rng, log, scene_logic_enabled);
         let name = cell.name().to_string();
-        let [intent_topic, set_topic] = cell.command_topics();
-        self.conn.subscribe(
-            sim,
-            &[(&intent_topic, QoS::AtLeastOnce), (&set_topic, QoS::AtLeastOnce)],
-        );
-        let mut out = Outbox::new();
-        cell.start(sim.now(), &mut out);
-        self.flush(sim, out);
-        let interval = cell.interval_ms();
         let id = self.arena.insert(cell);
-        let slot = id.slot() as usize;
-        if self.rows.len() <= slot {
-            self.rows.resize(slot + 1, 0);
-            self.mirror_rev.resize(slot + 1, 0);
-        }
-        self.rows[slot] = self.columns.alloc_row().0;
-        self.mirror_rev[slot] = u64::MAX; // force the initial mirror
         self.ids.insert(name, id);
-        self.sync_mirror(id);
-        self.join_tick_group(sim, id, interval);
+        if self.started {
+            self.start_cell(sim, id);
+        }
         id
     }
 
-    /// Remove a hosted digi. Its slab slot and column row return to the
-    /// free lists; any [`DigiId`] for it goes stale.
+    /// Remove a hosted digi. Its slab slot returns to the free list; any
+    /// [`DigiId`] for it goes stale.
     pub fn evict(&mut self, sim: &mut Sim, name: &str) -> bool {
         let Some(id) = self.ids.remove(name) else {
             return false;
@@ -426,7 +462,6 @@ impl DigiPool {
         let Some(cell) = self.arena.remove(id) else {
             return false;
         };
-        self.columns.free_row(RowId(self.rows[id.slot() as usize]));
         // The cell's tick-group entry goes stale with the id; it is
         // skipped and compacted at the group's next firing.
         let [intent_topic, set_topic] = cell.command_topics();
@@ -434,17 +469,28 @@ impl DigiPool {
         true
     }
 
-    /// Attach `child` to the hosted scene `parent` (both may live in this
-    /// pool or elsewhere; only the parent must be hosted here).
+    /// Attach `child` to the hosted scene `parent` (the child may live
+    /// anywhere; only the parent must be hosted here): mirror it and
+    /// subscribe to its model topic. The child's retained model arrives
+    /// and triggers coordination.
     pub fn attach_child(&mut self, sim: &mut Sim, parent: &str, child: &str, kind: &str) -> bool {
-        let Some(&id) = self.ids.get(parent) else {
+        let now = sim.now();
+        let Some(cell) = self.cell_mut(parent) else {
             return false;
         };
-        let Some(cell) = self.arena.get_mut(id) else {
-            return false;
-        };
-        let topic = cell.attach_child(sim.now(), child, kind);
+        let topic = cell.attach_child(now, child, kind);
         self.conn.subscribe(sim, &[(&topic, QoS::AtMostOnce)]);
+        true
+    }
+
+    /// Detach `child` from the hosted scene `parent`.
+    pub fn detach_child(&mut self, sim: &mut Sim, parent: &str, child: &str) -> bool {
+        let now = sim.now();
+        let Some(cell) = self.cell_mut(parent) else {
+            return false;
+        };
+        let topic = cell.detach_child(now, child);
+        self.conn.unsubscribe(sim, &[&topic]);
         true
     }
 
@@ -454,26 +500,77 @@ impl DigiPool {
         }
     }
 
-    /// Mirror a cell's scalar leaves into the dense columns if its model
-    /// revision moved since the last mirror.
-    fn sync_mirror(&mut self, id: DigiId) {
-        let slot = id.slot() as usize;
+    /// Live cells in slot order (host order until a slot is recycled).
+    fn slot_order(&self) -> Vec<DigiId> {
+        self.arena.iter().map(|(id, _)| id).collect()
+    }
+
+    /// Subscribe a cell's command topics, then each attached child's model
+    /// topic — the broker re-delivers retained child models on subscribe,
+    /// which re-mirrors a scene after a session loss.
+    fn subscribe_cell(&mut self, sim: &mut Sim, id: DigiId) {
         let Some(cell) = self.arena.get(id) else {
             return;
         };
-        let rev = cell.model().revision();
-        if self.mirror_rev[slot] == rev {
-            return;
+        let [intent_topic, set_topic] = cell.command_topics();
+        let children = cell.model().meta.attach.clone();
+        self.conn.subscribe(
+            sim,
+            &[(&intent_topic, QoS::AtLeastOnce), (&set_topic, QoS::AtLeastOnce)],
+        );
+        for child in children {
+            self.conn.subscribe(sim, &[(&topics::model(&child), QoS::AtMostOnce)]);
         }
-        let _ = self.columns.load_row(RowId(self.rows[slot]), cell.model().fields());
-        self.mirror_rev[slot] = rev;
+    }
+
+    /// Subscribe, run program init, publish the initial model and join the
+    /// cell's tick group.
+    fn start_cell(&mut self, sim: &mut Sim, id: DigiId) {
+        self.subscribe_cell(sim, id);
+        let now = sim.now();
+        let Some(cell) = self.arena.get_mut(id) else {
+            return;
+        };
+        let mut out = Outbox::new();
+        cell.start(now, &mut out);
+        let interval = cell.interval_ms();
+        self.flush(sim, out);
+        self.join_tick_group(sim, id, interval);
+    }
+
+    /// Re-establish a session the broker lost: CONNECT again, resubscribe
+    /// every cell, then republish every model unconditionally — the
+    /// broker's retained copies may predate changes made while the
+    /// session was down.
+    fn reconnect(&mut self, sim: &mut Sim) {
+        self.reconnect_pending = false;
+        self.conn.connect(sim, self.will.clone());
+        let ids = self.slot_order();
+        for &id in &ids {
+            self.subscribe_cell(sim, id);
+        }
+        let now = sim.now();
+        for id in ids {
+            if let Some(cell) = self.arena.get_mut(id) {
+                let mut out = Outbox::new();
+                cell.republish_model(now, &mut out);
+                self.flush(sim, out);
+            }
+        }
     }
 
     /// Add a cell to the tick group for `interval_ms`, arming the group's
     /// single wheel entry if it isn't in flight. A cell joining an armed
     /// group adopts the group's phase.
     fn join_tick_group(&mut self, sim: &mut Sim, id: DigiId, interval_ms: u64) {
-        let group = self.tick_groups.entry(interval_ms).or_default();
+        let group = match self.tick_groups.iter().position(|g| g.interval_ms == interval_ms) {
+            Some(i) => &mut self.tick_groups[i],
+            None => {
+                let group = TickGroup { interval_ms, members: Vec::new(), armed: false };
+                self.tick_groups.push(group);
+                self.tick_groups.last_mut().expect("pushed above")
+            }
+        };
         group.members.push(id);
         if !group.armed {
             group.armed = true;
@@ -491,9 +588,10 @@ impl DigiPool {
     /// re-arm once.
     fn run_tick_group(&mut self, sim: &mut Sim, token: TimerToken) {
         let interval_ms = token & !TICK_TOKEN_TAG;
-        let Some(group) = self.tick_groups.get_mut(&interval_ms) else {
+        let Some(g) = self.tick_groups.iter().position(|g| g.interval_ms == interval_ms) else {
             return;
         };
+        let group = &mut self.tick_groups[g];
         self.stats.wheel_wakeups += 1;
         let mut members = std::mem::take(&mut group.members);
         let now = sim.now();
@@ -508,14 +606,13 @@ impl DigiPool {
             let new_interval = cell.interval_ms();
             self.stats.ticks_dispatched += 1;
             self.flush(sim, out);
-            self.sync_mirror(id);
             if new_interval == interval_ms {
                 survivors.push(id);
             } else {
                 moved.push((id, new_interval));
             }
         }
-        let group = self.tick_groups.get_mut(&interval_ms).expect("group present above");
+        let group = &mut self.tick_groups[g];
         // Merge defensively with anything hosted while we were running.
         survivors.append(&mut group.members);
         group.members = survivors;
@@ -538,33 +635,40 @@ impl DigiPool {
         let digi = digi.to_string();
         match topics::channel_of(topic) {
             Some("intent") => {
-                if let Some(&id) = self.ids.get(&digi) {
-                    if let Some(cell) = self.arena.get_mut(id) {
-                        cell.log_message_in(now, topic, payload);
-                        let updates = DigiCell::parse_intents(payload);
-                        let mut out = Outbox::new();
-                        // NOTE: pooled digis apply intents immediately; per-digi
-                        // actuation delay is a dedicated-service feature.
-                        cell.apply_intents(now, updates, &mut out);
-                        self.flush(sim, out);
-                        self.sync_mirror(id);
-                    }
+                let Some(&id) = self.ids.get(&digi) else {
+                    return;
+                };
+                let Some(cell) = self.arena.get_mut(id) else {
+                    return;
+                };
+                cell.log_message_in(now, topic, payload);
+                let updates = DigiCell::parse_intents(payload);
+                let delay_ms = cell.actuation_delay_ms();
+                if delay_ms == 0 {
+                    let mut out = Outbox::new();
+                    cell.apply_intents(now, updates, &mut out);
+                    self.flush(sim, out);
+                } else {
+                    // Hardware actuation latency (paper §6): the intent
+                    // lands after the configured delay.
+                    let token = ACTUATION_TOKEN_TAG | self.next_actuation_token;
+                    self.next_actuation_token += 1;
+                    self.pending_actuations.insert(token, (id, updates));
+                    sim.set_timer(self.addr, SimDuration::from_millis(delay_ms), token);
                 }
             }
             Some("set") => {
-                if let Some(&id) = self.ids.get(&digi) {
-                    if let Some(cell) = self.arena.get_mut(id) {
-                        cell.log_message_in(now, topic, payload);
-                        let mut out = Outbox::new();
-                        cell.handle_set(now, payload, &mut out);
-                        self.flush(sim, out);
-                        self.sync_mirror(id);
-                    }
-                }
+                let Some(cell) = self.cell_mut(&digi) else {
+                    return;
+                };
+                cell.log_message_in(now, topic, payload);
+                let mut out = Outbox::new();
+                cell.handle_set(now, payload, &mut out);
+                self.flush(sim, out);
             }
             Some("model") => {
                 // fan the child model to every hosted scene mirroring it,
-                // in name order (the same order the old map iteration had)
+                // in name order
                 let parents: Vec<DigiId> = self
                     .ids
                     .values()
@@ -576,7 +680,6 @@ impl DigiPool {
                         let mut out = Outbox::new();
                         cell.observe_child(now, &digi, payload, &mut out);
                         self.flush(sim, out);
-                        self.sync_mirror(id);
                     }
                 }
             }
@@ -584,25 +687,23 @@ impl DigiPool {
         }
     }
 
+    /// Serve the REST device API with load-dependent service time.
     fn handle_http(&mut self, sim: &mut Sim, peer: Addr, payload: &Bytes) {
         self.stats.rest_requests += 1;
         let response = match Request::decode(payload) {
             Ok(req) => {
-                // pooled routing: /digi/<name>/...
-                let target = {
-                    let segs = req.path_segments();
-                    match segs.as_slice() {
-                        ["digi", name, ..] => Some(name.to_string()),
-                        _ => None,
-                    }
+                // `/digi/<name>/...` addresses a hosted cell; a one-cell
+                // host serves every other path itself.
+                let named = match req.path_segments().as_slice() {
+                    ["digi", name, ..] => self.ids.get(*name).copied(),
+                    _ => None,
                 };
-                let target_id = target.and_then(|t| self.ids.get(&t).copied());
-                match target_id.and_then(|id| self.arena.get_mut(id).map(|c| (id, c))) {
-                    Some((id, cell)) => {
+                let sole = if self.ids.len() == 1 { self.ids.values().next().copied() } else { None };
+                match named.or(sole).and_then(|id| self.arena.get_mut(id)) {
+                    Some(cell) => {
                         let mut out = Outbox::new();
                         let resp = cell.route_http(sim.now(), &req, &mut out);
                         self.flush(sim, out);
-                        self.sync_mirror(id);
                         resp
                     }
                     None => Response::not_found("no such digi in this pool"),
@@ -614,6 +715,10 @@ impl DigiPool {
         if self.service_overhead == SimDuration::ZERO {
             self.http.send(sim, peer, bytes);
         } else {
+            // Request-processing time grows with node load: a node crowded
+            // with mock containers serves each request more slowly (the
+            // effect behind the paper's 20 ms → 60 ms growth from the
+            // 50-mock laptop to the 1000-mock cluster).
             let load = sim.node_load(self.addr.node) as f64;
             let factor = (1.0 + load / 64.0) * self.overhead_rng.range_f64(0.85, 1.25);
             let delay = SimDuration::from_nanos(
@@ -626,18 +731,20 @@ impl DigiPool {
         }
     }
 
-    fn ingest(&mut self, sim: &mut Sim, dg: Datagram) {
-        if dg.src == self.conn.broker() {
-            self.conn.on_datagram(sim, dg);
-        } else {
-            self.http.on_datagram(sim, dg);
-        }
-    }
-
     fn pump(&mut self, sim: &mut Sim) {
         while let Some(ev) = self.conn.poll() {
-            if let ClientEvent::Message { topic, payload, .. } = ev {
-                self.handle_mqtt_message(sim, &topic, &payload);
+            match ev {
+                ClientEvent::Message { topic, payload, .. } => {
+                    self.handle_mqtt_message(sim, &topic, &payload);
+                }
+                ClientEvent::BrokerLost => {
+                    self.broker_losses += 1;
+                    self.reconnect_pending = true;
+                }
+                ClientEvent::Connected { .. }
+                | ClientEvent::SubAck { .. }
+                | ClientEvent::PubAck { .. }
+                | ClientEvent::PubComp { .. } => {}
             }
         }
         while let Some(ev) = self.http.poll() {
@@ -653,20 +760,18 @@ impl DigiPool {
 
 impl Service for DigiPool {
     fn on_start(&mut self, sim: &mut Sim) {
-        self.conn.connect(sim, None);
+        self.started = true;
+        self.conn.connect(sim, self.will.clone());
+        for id in self.slot_order() {
+            self.start_cell(sim, id);
+        }
     }
 
     fn on_datagram(&mut self, sim: &mut Sim, dg: Datagram) {
-        self.ingest(sim, dg);
-        self.pump(sim);
-    }
-
-    fn on_datagram_batch(&mut self, sim: &mut Sim, batch: &[Datagram]) {
-        // Ingest the whole same-instant run, then pump once: one pass over
-        // the session/endpoint queues per batch instead of per datagram.
-        self.stats.batched_deliveries += 1;
-        for dg in batch {
-            self.ingest(sim, dg.clone());
+        if dg.src == self.conn.broker() {
+            self.conn.on_datagram(sim, dg);
+        } else {
+            self.http.on_datagram(sim, dg);
         }
         self.pump(sim);
     }
@@ -680,12 +785,24 @@ impl Service for DigiPool {
             self.pump(sim);
             return;
         }
-        if token & RESPONSE_TOKEN_TAG != 0 {
+        if token & TICK_TOKEN_TAG != 0 {
+            if self.reconnect_pending {
+                self.reconnect(sim);
+            }
+            self.run_tick_group(sim, token);
+        } else if token & ACTUATION_TOKEN_TAG != 0 {
+            let Some((id, updates)) = self.pending_actuations.remove(&token) else {
+                return;
+            };
+            if let Some(cell) = self.arena.get_mut(id) {
+                let mut out = Outbox::new();
+                cell.apply_intents(sim.now(), updates, &mut out);
+                self.flush(sim, out);
+            }
+        } else if token & RESPONSE_TOKEN_TAG != 0 {
             if let Some((peer, bytes)) = self.pending_responses.remove(&token) {
                 self.http.send(sim, peer, bytes);
             }
-        } else if token & TICK_TOKEN_TAG != 0 {
-            self.run_tick_group(sim, token);
         }
     }
 }

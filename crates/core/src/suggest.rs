@@ -41,7 +41,7 @@ pub fn nearest<'a, I>(target: &str, candidates: I) -> Option<&'a str>
 where
     I: IntoIterator<Item = &'a str>,
 {
-    let budget = target.chars().count().div_ceil(3).min(3).max(1);
+    let budget = target.chars().count().div_ceil(3).clamp(1, 3);
     candidates
         .into_iter()
         .map(|c| (distance(target, c), c))

@@ -126,7 +126,7 @@ fn claim(shards: &[Shard], w: usize, steals: &AtomicU64) -> Option<Item> {
             .map(|(i, s)| (lock(&s.queue).len(), i))
             .max()
             .filter(|(len, _)| *len > 0);
-        let Some((_, v)) = victim else { return None };
+        let (_, v) = victim?;
         if let Some(item) = lock(&shards[v].queue).pop_back() {
             steals.fetch_add(1, Ordering::Relaxed);
             return Some(item);
@@ -152,7 +152,9 @@ where
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// A panic payload as text (`&str` and `String` payloads; anything else
+/// gets a placeholder).
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -338,9 +340,9 @@ mod sweep_tests {
 
     #[test]
     fn empty_and_degenerate_inputs() {
-        let out = sweep::<u64, _>(&[], 4, |s| Ok(s));
+        let out = sweep::<u64, _>(&[], 4, Ok);
         assert!(out.runs.is_empty());
-        let out = sweep(&[5], 0, |s| Ok::<u64, String>(s));
+        let out = sweep(&[5], 0, Ok::<u64, String>);
         assert_eq!(out.runs.len(), 1);
         assert_eq!(out.jobs, 1, "one seed needs one worker regardless of cores");
         assert!(resolve_jobs(0) >= 1);

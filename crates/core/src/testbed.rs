@@ -9,7 +9,9 @@ use std::rc::Rc;
 
 use digibox_broker::Broker;
 use digibox_model::{Meta, Model, Value};
-use digibox_net::{Addr, NodeId, ServiceHandle, Sim, SimConfig, SimDuration, SimTime, Topology};
+use digibox_net::{
+    Addr, NodeId, Prng, ServiceHandle, Sim, SimConfig, SimDuration, SimTime, Topology,
+};
 use digibox_obs as obs;
 use digibox_orchestrator::{ControlPlane, ControlPlaneConfig, PodAction, PodPhase, PodSpec};
 use digibox_registry::{InstanceDecl, Repository, SetupManifest};
@@ -17,8 +19,10 @@ use digibox_trace::{ReplaySchedule, TraceLog};
 
 use crate::appclient::AppClient;
 use crate::catalog::{Catalog, CatalogError};
+use crate::cell::DigiCell;
 use crate::checkpoint::CheckpointStore;
-use crate::digi::DigiService;
+use crate::pool::DigiPool;
+use crate::program::DigiProgram;
 use crate::properties::{PropertyChecker, SceneProperty};
 use crate::topics;
 
@@ -147,8 +151,9 @@ impl From<digibox_model::ModelError> for TestbedError {
     }
 }
 
+/// A dedicated digi: its one-cell host plus what `dbox commit` records.
 struct DigiEntry {
-    handle: ServiceHandle<DigiService>,
+    handle: ServiceHandle<DigiPool>,
     addr: Addr,
     pod: String,
     kind: String,
@@ -230,9 +235,8 @@ pub struct Testbed {
     next_app_port: u16,
     /// The developer-console MQTT session used by `edit`/`replay`.
     operator: Option<ServiceHandle<AppClient>>,
-    /// Pools created via [`Testbed::run_pool`]; checkpoint passes snapshot
-    /// their members from the pools' dense model columns.
-    pools: Vec<ServiceHandle<crate::DigiPool>>,
+    /// Pools created via [`Testbed::run_pool`].
+    pools: Vec<ServiceHandle<DigiPool>>,
     pending_restarts: Vec<PendingRestart>,
     /// When a killed broker's replacement rebinds (None = broker is up).
     pending_broker_restart: Option<SimTime>,
@@ -387,12 +391,26 @@ impl Testbed {
             .ok_or_else(|| TestbedError::UnknownDigi(name.to_string()))
     }
 
-    /// Borrow a digi's service handle (tests, advanced drivers).
-    pub fn digi(&self, name: &str) -> crate::Result<ServiceHandle<DigiService>> {
+    /// Borrow a digi's host handle (tests, advanced drivers): the
+    /// one-cell [`DigiPool`] holding `name`.
+    pub fn digi(&self, name: &str) -> crate::Result<ServiceHandle<DigiPool>> {
         self.digis
             .get(name)
             .map(|d| d.handle.clone())
             .ok_or_else(|| TestbedError::UnknownDigi(name.to_string()))
+    }
+
+    /// Run `f` on a running digi's cell.
+    fn with_cell<R>(&self, name: &str, f: impl FnOnce(&mut DigiCell) -> R) -> crate::Result<R> {
+        let handle = self.digi(name)?;
+        let mut host = handle.borrow_mut();
+        let cell = host.cell_mut(name).expect("a dedicated host holds its digi");
+        Ok(f(cell))
+    }
+
+    /// Whether the running digi `parent` has `child` attached.
+    fn has_attached(entry: &DigiEntry, parent: &str, child: &str) -> bool {
+        entry.handle.borrow().model(parent).is_some_and(|m| m.meta.attach.iter().any(|c| c == child))
     }
 
     /// Cluster utilization: (pods, requested cpu millis, cpu capacity
@@ -511,33 +529,10 @@ impl Testbed {
         if self.digis.contains_key(name) {
             return Err(TestbedError::Setup(format!("digi {name:?} already running")));
         }
-        let mut program = self.catalog.make(kind)?;
-        let schema = program.schema();
-        let mut model = schema.instantiate(name);
-        model.meta = Meta {
-            kind: kind.to_string(),
-            version: program.version().to_string(),
-            name: name.to_string(),
-            managed: match self.config.fidelity {
-                // Device-centric: every mock generates independently.
-                FidelityMode::DeviceCentric => managed && program.is_scene(),
-                _ => managed,
-            },
-            attach: Vec::new(),
-            params: {
-                let mut p = params.clone();
-                if self.config.fidelity == FidelityMode::Physical {
-                    p.entry("fidelity".to_string()).or_insert(Value::from("physical"));
-                }
-                p
-            },
-        };
-        program.init(&mut model);
+        let (mut model, program, rng) = self.make_digi(kind, name, params.clone(), managed)?;
         if let Some(fields) = checkpoint {
             model.set_fields(fields)?;
         }
-
-        // Pod through the control plane.
         let pod_name = format!("digi-{}", name.to_lowercase());
         if pod_exists {
             self.control.borrow_mut().requeue(&pod_name);
@@ -549,14 +544,77 @@ impl Testbed {
             };
             self.control.borrow_mut().create_pod(pod_spec)?;
         }
+        let (addr, overhead, start_delay) = self.place(&pod_name)?;
+        let version = model.meta.version.clone();
+        let handle = DigiPool::dedicated(addr, self.broker_addr, overhead, name, &rng);
+        let scene_logic = self.scene_logic();
+        handle.borrow_mut().host(&mut self.sim, model, program, rng, self.log.clone(), scene_logic);
+        self.digis.insert(
+            name.to_string(),
+            DigiEntry {
+                handle: handle.clone(),
+                addr,
+                pod: pod_name.clone(),
+                kind: kind.to_string(),
+                version,
+                managed,
+                params,
+            },
+        );
+        self.bind_after(start_delay, addr, handle, pod_name);
+        Ok(())
+    }
+
+    /// The one model-setup path (dedicated and pooled digis alike):
+    /// instantiate `kind` as `name` under the testbed's fidelity rules and
+    /// run program init. Returns the model, its program and the digi's RNG
+    /// stream.
+    fn make_digi(
+        &self,
+        kind: &str,
+        name: &str,
+        mut params: BTreeMap<String, Value>,
+        managed: bool,
+    ) -> crate::Result<(Model, Box<dyn DigiProgram>, Prng)> {
+        let mut program = self.catalog.make(kind)?;
+        let mut model = program.schema().instantiate(name);
+        if self.config.fidelity == FidelityMode::Physical {
+            params.entry("fidelity".to_string()).or_insert(Value::from("physical"));
+        }
+        model.meta = Meta {
+            kind: kind.to_string(),
+            version: program.version().to_string(),
+            name: name.to_string(),
+            managed: match self.config.fidelity {
+                // Device-centric: every mock generates independently.
+                FidelityMode::DeviceCentric => managed && program.is_scene(),
+                _ => managed,
+            },
+            attach: Vec::new(),
+            params,
+        };
+        program.init(&mut model);
+        let rng = self.sim.rng_for(&format!("digi/{name}/{}", model.meta.seed()));
+        Ok((model, program, rng))
+    }
+
+    /// Whether scenes run their coordination logic (off in device-centric
+    /// mode).
+    fn scene_logic(&self) -> bool {
+        self.config.fidelity != FidelityMode::DeviceCentric
+    }
+
+    /// The one placement path: reconcile the control plane for the created
+    /// (or requeued) pod and give its host a fresh port on the chosen
+    /// node. Returns the host address, the node's per-message service
+    /// overhead and the container start delay.
+    fn place(&mut self, pod_name: &str) -> crate::Result<(Addr, SimDuration, SimDuration)> {
         let actions = self.control.borrow_mut().reconcile();
-        let mut placed_node = None;
-        let mut start_delay = SimDuration::ZERO;
+        let mut placed = None;
         for action in actions {
             match action {
                 PodAction::Start { pod, node, delay, .. } if pod == pod_name => {
-                    placed_node = Some(node);
-                    start_delay = delay;
+                    placed = Some((node, delay));
                 }
                 PodAction::MarkUnschedulable { pod } if pod == pod_name => {
                     return Err(TestbedError::Setup(format!(
@@ -566,9 +624,8 @@ impl Testbed {
                 _ => {}
             }
         }
-        let node = placed_node
+        let (node, start_delay) = placed
             .ok_or_else(|| TestbedError::Setup(format!("pod {pod_name} was not placed")))?;
-
         let addr = Addr::new(node, self.next_digi_port);
         self.next_digi_port = self.next_digi_port.checked_add(1).expect("port space exhausted");
         let overhead = self
@@ -577,37 +634,22 @@ impl Testbed {
             .node(node)
             .map(|n| n.service_overhead)
             .unwrap_or(SimDuration::ZERO);
-        let scene_logic = self.config.fidelity != FidelityMode::DeviceCentric;
-        let rng = self.sim.rng_for(&format!("digi/{name}/{}", model.meta.seed()));
-        let handle = DigiService::new(
-            addr,
-            self.broker_addr,
-            model,
-            program,
-            rng,
-            self.log.clone(),
-            scene_logic,
-            overhead,
-        );
-        self.digis.insert(
-            name.to_string(),
-            DigiEntry {
-                handle: handle.clone(),
-                addr,
-                pod: pod_name.clone(),
-                kind: kind.to_string(),
-                version: handle.borrow().model().meta.version.clone(),
-                managed,
-                params,
-            },
-        );
-        // Container start: bind after the startup delay.
+        Ok((addr, overhead, start_delay))
+    }
+
+    /// Container start: bind the host after the startup delay.
+    fn bind_after(
+        &mut self,
+        delay: SimDuration,
+        addr: Addr,
+        host: ServiceHandle<DigiPool>,
+        pod_name: String,
+    ) {
         let control = self.control.clone();
-        self.sim.call_after(start_delay, move |sim| {
-            sim.bind(addr, handle);
+        self.sim.call_after(delay, move |sim| {
+            sim.bind(addr, host);
             control.borrow_mut().mark_running(&pod_name);
         });
-        Ok(())
     }
 
     /// `dbox stop <name>` — stop and remove a digi.
@@ -624,12 +666,12 @@ impl Testbed {
         let parents: Vec<String> = self
             .digis
             .iter()
-            .filter(|(_, e)| e.handle.borrow().model().meta.attach.iter().any(|c| c == name))
+            .filter(|(n, e)| Self::has_attached(e, n, name))
             .map(|(n, _)| n.clone())
             .collect();
         for parent in parents {
             let handle = self.digis[&parent].handle.clone();
-            handle.borrow_mut().detach_child(&mut self.sim, name);
+            handle.borrow_mut().detach_child(&mut self.sim, &parent, name);
         }
         Ok(())
     }
@@ -651,8 +693,7 @@ impl Testbed {
         let managed = entry.managed;
         self.sim.unbind(addr);
         self.log.lifecycle(self.sim.now(), name, "killed", "");
-        let attach: Vec<String> =
-            self.digis[name].handle.borrow().model().meta.attach.clone();
+        let attach = self.with_cell(name, |cell| cell.model().meta.attach.clone())?;
         self.digis.remove(name);
         self.control.borrow_mut().report_exit(&pod);
         let restart_delay = self.control.borrow().restart_delay_for(&pod);
@@ -763,33 +804,24 @@ impl Testbed {
             .ok_or_else(|| TestbedError::UnknownDigi(child.to_string()))?
             .kind
             .clone();
-        let parent_entry = self
-            .digis
-            .get(parent)
-            .ok_or_else(|| TestbedError::UnknownDigi(parent.to_string()))?;
-        if !parent_entry.handle.borrow().is_scene() {
+        if !self.with_cell(parent, |cell| cell.is_scene())? {
             return Err(TestbedError::NotAScene(parent.to_string()));
         }
-        let handle = parent_entry.handle.clone();
-        handle.borrow_mut().attach_child(&mut self.sim, child, &child_kind);
+        let handle = self.digi(parent)?;
+        handle.borrow_mut().attach_child(&mut self.sim, parent, child, &child_kind);
         Ok(())
     }
 
     /// `dbox attach -d` — detach.
     pub fn detach(&mut self, child: &str, parent: &str) -> crate::Result<()> {
-        let handle = self
-            .digis
-            .get(parent)
-            .ok_or_else(|| TestbedError::UnknownDigi(parent.to_string()))?
-            .handle
-            .clone();
-        handle.borrow_mut().detach_child(&mut self.sim, child);
+        let handle = self.digi(parent)?;
+        handle.borrow_mut().detach_child(&mut self.sim, parent, child);
         Ok(())
     }
 
     /// `dbox check <name>` — snapshot a digi's model.
     pub fn check(&mut self, name: &str) -> crate::Result<Model> {
-        Ok(self.digi(name)?.borrow().model().clone())
+        self.with_cell(name, |cell| cell.model().clone())
     }
 
     /// `dbox edit <name>` — set intent fields through the real message
@@ -808,8 +840,7 @@ impl Testbed {
     /// Toggle a digi's `managed` flag (pausing/resuming its own event
     /// generation).
     pub fn set_managed(&mut self, name: &str, managed: bool) -> crate::Result<()> {
-        let handle = self.digi(name)?;
-        handle.borrow_mut().set_managed(managed);
+        self.with_cell(name, |cell| cell.set_managed(managed))?;
         if let Some(e) = self.digis.get_mut(name) {
             e.managed = managed;
         }
@@ -834,80 +865,39 @@ impl Testbed {
 
     /// Run `names` instances of `kind` inside **one** pooled executor
     /// service (one pod, one broker session, one timer wheel) instead of
-    /// one microservice each — the consolidation the paper's §6 "efficient
-    /// simulation" question asks about. Pooled digis speak the same topics
-    /// and REST routes (`/digi/<name>/...`) as dedicated ones, but are not
-    /// addressable through `check`/`edit`/`attach` (use the returned
-    /// handle). The `e9_faas_pooling` bench compares both modes.
+    /// one host each — the consolidation the paper's §6 "efficient
+    /// simulation" question asks about. Pooled digis are set up exactly
+    /// like dedicated ones and speak the same topics and REST routes
+    /// (`/digi/<name>/...`), but are not addressable through
+    /// `check`/`edit`/`attach` (use the returned handle). The
+    /// `e9_faas_pooling` bench compares both modes.
     pub fn run_pool(
         &mut self,
         kind: &str,
         names: &[String],
         params: BTreeMap<String, Value>,
         managed: bool,
-    ) -> crate::Result<(ServiceHandle<crate::DigiPool>, Addr)> {
+    ) -> crate::Result<(ServiceHandle<DigiPool>, Addr)> {
+        let members = names
+            .iter()
+            .map(|name| self.make_digi(kind, name, params.clone(), managed))
+            .collect::<crate::Result<Vec<_>>>()?;
         // One pod for the whole pool; resources scale sub-linearly with
         // occupancy (the whole point of consolidation).
         let pod_name = format!("pool-{}", self.next_digi_port);
         let pod_spec = PodSpec::scene(&pod_name, "faas/pool")
             .with_resources(10 + names.len() as u64 / 4, 16 + names.len() as u64 / 8);
         self.control.borrow_mut().create_pod(pod_spec)?;
-        let actions = self.control.borrow_mut().reconcile();
-        let mut placed = None;
-        let mut start_delay = SimDuration::ZERO;
-        for action in actions {
-            match action {
-                PodAction::Start { pod, node, delay, .. } if pod == pod_name => {
-                    placed = Some(node);
-                    start_delay = delay;
-                }
-                PodAction::MarkUnschedulable { pod } if pod == pod_name => {
-                    return Err(TestbedError::Setup(format!("pool pod {pod} unschedulable")));
-                }
-                _ => {}
-            }
-        }
-        let node =
-            placed.ok_or_else(|| TestbedError::Setup(format!("pool pod {pod_name} not placed")))?;
-        let addr = Addr::new(node, self.next_digi_port);
-        self.next_digi_port = self.next_digi_port.checked_add(1).expect("port space exhausted");
-        let overhead = self
-            .sim
-            .topology()
-            .node(node)
-            .map(|n| n.service_overhead)
-            .unwrap_or(SimDuration::ZERO);
-        let pool = crate::DigiPool::new(addr, self.broker_addr, overhead);
-
-        // Materialize the cells' models/programs now; host them at start.
-        let mut members = Vec::new();
-        for name in names {
-            let mut program = self.catalog.make(kind)?;
-            let schema = program.schema();
-            let mut model = schema.instantiate(name);
-            model.meta = Meta {
-                kind: kind.to_string(),
-                version: program.version().to_string(),
-                name: name.clone(),
-                managed,
-                attach: Vec::new(),
-                params: params.clone(),
-            };
-            program.init(&mut model);
-            let rng = self.sim.rng_for(&format!("digi/{name}/{}", model.meta.seed()));
-            members.push((model, program, rng));
-        }
-        let scene_logic = self.config.fidelity != FidelityMode::DeviceCentric;
-        let log = self.log.clone();
-        let control = self.control.clone();
-        let handle = pool.clone();
-        self.sim.call_after(start_delay, move |sim| {
-            sim.bind(addr, handle.clone());
+        let (addr, overhead, start_delay) = self.place(&pod_name)?;
+        let pool = DigiPool::new(addr, self.broker_addr, overhead);
+        let scene_logic = self.scene_logic();
+        {
+            let mut p = pool.borrow_mut();
             for (model, program, rng) in members {
-                handle.borrow_mut().host(sim, model, program, rng, log.clone(), scene_logic);
+                p.host(&mut self.sim, model, program, rng, self.log.clone(), scene_logic);
             }
-            control.borrow_mut().mark_running(&pod_name);
-        });
+        }
+        self.bind_after(start_delay, addr, pool.clone(), pod_name);
         self.pools.push(pool.clone());
         Ok((pool, addr))
     }
@@ -1028,10 +1018,7 @@ impl Testbed {
                     let parents: Vec<String> = self
                         .digis
                         .iter()
-                        .filter(|(n, e)| {
-                            n.as_str() != r.name
-                                && e.handle.borrow().model().meta.attach.iter().any(|c| *c == r.name)
-                        })
+                        .filter(|(n, e)| n.as_str() != r.name && Self::has_attached(e, n, &r.name))
                         .map(|(n, _)| n.clone())
                         .collect();
                     for parent in parents {
@@ -1058,50 +1045,31 @@ impl Testbed {
         }
     }
 
-    /// Snapshot every running digi's model into the checkpoint store now.
-    ///
-    /// Dedicated digis are read through their service handles; pooled
-    /// digis are read from their pool's dense model columns (a columnar
-    /// scan, not a walk of N separate field trees).
+    /// Snapshot every running digi's model into the checkpoint store now:
+    /// dedicated digis in name order, then each pool's members.
     pub fn checkpoint_all(&mut self) {
         let _span = obs::enter(self.obs.f_checkpoint);
         obs::inc(self.obs.checkpoint_passes);
         let now = self.sim.now();
-        for (name, entry) in &self.digis {
-            let service = entry.handle.borrow();
-            let model = service.model();
-            self.checkpoints.save(name, model.fields(), model.revision(), now);
-            obs::inc(self.obs.checkpoint_snapshots);
-        }
-        let pools = self.pools.clone();
-        for pool in &pools {
-            let p = pool.borrow();
-            for name in p.names() {
-                let (Some(fields), Some(model)) = (p.snapshot_fields(name), p.model(name))
-                else {
-                    continue;
-                };
-                self.checkpoints.save(name, &fields, model.revision(), now);
+        for host in self.digis.values().map(|e| &e.handle).chain(&self.pools) {
+            for cell in host.borrow().cells() {
+                let model = cell.model();
+                self.checkpoints.save(cell.name(), model.fields(), model.revision(), now);
                 obs::inc(self.obs.checkpoint_snapshots);
             }
         }
     }
 
     /// Restore a pooled digi's fields from its last checkpoint (taken by
-    /// [`Testbed::checkpoint_all`] out of the pool's model columns). The
-    /// cell keeps its slab slot and tick group. Returns `false` when the
-    /// digi has no checkpoint or is not hosted in any pool.
+    /// [`Testbed::checkpoint_all`]). The cell keeps its slab slot and tick
+    /// group. Returns `false` when the digi has no checkpoint or is not
+    /// hosted in any pool.
     pub fn restore_pooled(&mut self, name: &str) -> bool {
         let Some(fields) = self.checkpoints.restore(name) else {
             return false;
         };
         let pools = self.pools.clone();
-        for pool in &pools {
-            if pool.borrow().id_of(name).is_some() {
-                return pool.borrow_mut().restore_fields(&mut self.sim, name, fields);
-            }
-        }
-        false
+        pools.iter().any(|pool| pool.borrow_mut().force_fields(&mut self.sim, name, fields.clone()))
     }
 
     fn take_due_checkpoints(&mut self) {
@@ -1115,7 +1083,7 @@ impl Testbed {
         self.checkpoint_all();
         let mut next = due;
         while next <= now {
-            next = next + every;
+            next += every;
         }
         self.next_checkpoint = Some(next);
     }
@@ -1193,8 +1161,10 @@ impl Testbed {
                 managed: entry.managed,
                 params: entry.params.clone(),
             });
-            for child in &entry.handle.borrow().model().meta.attach {
-                manifest.attachments.push((child.clone(), name.clone()));
+            if let Some(model) = entry.handle.borrow().model(name) {
+                for child in &model.meta.attach {
+                    manifest.attachments.push((child.clone(), name.clone()));
+                }
             }
         }
         manifest.attachments.sort();
@@ -1270,23 +1240,24 @@ impl Testbed {
         obs::inc(self.obs.replay_schedules);
         let base = self.sim.now();
         for source in schedule.sources() {
-            self.digi(&source)?.borrow_mut().set_generation_enabled(false);
+            self.with_cell(&source, |cell| cell.set_generation_enabled(false))?;
         }
         for name in states.keys() {
-            self.digi(name)?.borrow_mut().set_generation_enabled(false);
+            self.with_cell(name, |cell| cell.set_generation_enabled(false))?;
         }
         for (name, fields) in states {
             let handle = self.digi(name)?;
-            handle.borrow_mut().force_fields(&mut self.sim, fields.clone());
+            handle.borrow_mut().force_fields(&mut self.sim, name, fields.clone());
             obs::inc(self.obs.replay_resumed);
         }
         let steps_counter = self.obs.replay_steps;
         for step in schedule.steps() {
             let handle = self.digi(&step.source)?;
+            let name = step.source.clone();
             let fields = step.fields.clone();
             let at = base + SimDuration::from_nanos(step.ts.as_nanos());
             self.sim.call_at(at, move |sim| {
-                handle.borrow_mut().force_fields(sim, fields);
+                handle.borrow_mut().force_fields(sim, &name, fields);
                 obs::inc(steps_counter);
             });
         }

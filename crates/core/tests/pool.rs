@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use digibox_core::program::{DigiProgram, LoopCtx, SimCtx};
-use digibox_core::{AppEvent, Catalog, Testbed, TestbedConfig};
+use digibox_core::{AppEvent, Catalog, FidelityMode, Testbed, TestbedConfig};
 use digibox_model::{vmap, FieldKind, Schema, Value};
 use digibox_net::SimDuration;
 
@@ -147,7 +147,7 @@ fn pooled_checkpoints_snapshot_columns_and_restore_in_place() {
         .unwrap();
     assert!(n_at_ckpt >= 2);
     tb.checkpoint_all();
-    // every pooled member got a snapshot, read out of the model columns
+    // every pooled member got a snapshot
     for name in ["C0", "C1", "C2", "C3", "C4"] {
         let info = tb.checkpoints().info(name).unwrap();
         assert!(info.revision > 0, "{name} checkpointed at revision 0");
@@ -191,4 +191,44 @@ fn evicted_cell_stops_ticking() {
     // C1 keeps running
     let n = p.model("C1").unwrap().lookup(&"n".into()).and_then(Value::as_int).unwrap();
     assert!(n >= 4);
+}
+
+#[test]
+fn pooled_digis_resubscribe_after_broker_outage() {
+    let mut tb = Testbed::laptop(catalog(), TestbedConfig::default());
+    let (pool, _) = tb.run_pool("Counter", &names(3), BTreeMap::new(), false).unwrap();
+    tb.run_for(SimDuration::from_secs(1));
+    // Down for longer than the transport's give-up time: the pool's
+    // session dies, and the restarted broker holds no subscription for it.
+    tb.kill_broker(SimDuration::from_secs(5));
+    tb.run_for(SimDuration::from_secs(12));
+    assert!(!tb.broker_down());
+    let app = tb.app_with_mqtt(tb.broker_addr().node, "editor");
+    tb.run_for(SimDuration::from_millis(100));
+    app.borrow_mut().publish(
+        tb.sim(),
+        "digibox/digi/C2/intent",
+        &br#"{"limit": 99}"#[..],
+        digibox_broker::QoS::AtLeastOnce,
+    );
+    tb.run_for(SimDuration::from_millis(500));
+    let limit = pool.borrow().model("C2").unwrap().status(&"limit".into()).unwrap().as_int();
+    assert_eq!(limit, Some(99), "intent published after the outage never reached the pool");
+}
+
+#[test]
+fn pooled_meta_follows_fidelity_rules() {
+    // run_pool sets models up exactly like run_with: device-centric mocks
+    // are never managed, and physical fidelity is passed as a param.
+    for fidelity in [FidelityMode::DeviceCentric, FidelityMode::Physical] {
+        let config = TestbedConfig { fidelity, ..Default::default() };
+        let mut tb = Testbed::laptop(catalog(), config);
+        tb.run_with("Counter", "D1", BTreeMap::new(), true).unwrap();
+        let (pool, _) = tb.run_pool("Counter", &["P1".to_string()], BTreeMap::new(), true).unwrap();
+        tb.run_for(SimDuration::from_secs(1));
+        let dedicated = tb.check("D1").unwrap().meta;
+        let pooled = pool.borrow().model("P1").unwrap().meta.clone();
+        assert_eq!(pooled.managed, dedicated.managed, "{fidelity:?}: managed");
+        assert_eq!(pooled.params, dedicated.params, "{fidelity:?}: params");
+    }
 }

@@ -7,6 +7,7 @@ use digibox_core::program::{DigiProgram, LoopCtx, SimCtx};
 use digibox_core::{
     AppClient, AppEvent, Catalog, Condition, FidelityMode, SceneProperty, Testbed, TestbedConfig,
 };
+use digibox_broker::QoS;
 use digibox_core::properties::DigiCondition;
 use digibox_model::{vmap, FieldKind, Schema, Value};
 use digibox_net::SimDuration;
@@ -167,7 +168,7 @@ fn mock_generates_events_on_its_loop() {
     tb.run("Occupancy", "O1").unwrap();
     tb.run_for(SimDuration::from_secs(5));
     let digi = tb.digi("O1").unwrap();
-    let stats = digi.borrow().stats().clone();
+    let stats = digi.borrow().cell("O1").unwrap().stats().clone();
     assert!(stats.loops_run >= 3, "loop ran {} times", stats.loops_run);
     assert!(stats.events_emitted >= 3);
     // trace has event records from O1
@@ -181,7 +182,7 @@ fn managed_mock_stays_quiet() {
     tb.run_with("Occupancy", "O1", BTreeMap::new(), true).unwrap();
     tb.run_for(SimDuration::from_secs(5));
     let digi = tb.digi("O1").unwrap();
-    assert_eq!(digi.borrow().stats().loops_run, 0);
+    assert_eq!(digi.borrow().cell("O1").unwrap().stats().loops_run, 0);
 }
 
 #[test]
@@ -338,8 +339,7 @@ fn property_violation_detected() {
 
 #[test]
 fn device_centric_mode_breaks_correlation() {
-    let mut config = TestbedConfig::default();
-    config.fidelity = FidelityMode::DeviceCentric;
+    let config = TestbedConfig { fidelity: FidelityMode::DeviceCentric, ..Default::default() };
     let mut tb = Testbed::laptop(catalog(), config);
     tb.run_with("Occupancy", "O1", BTreeMap::new(), true).unwrap();
     tb.run_with("Occupancy", "O2", BTreeMap::new(), true).unwrap();
@@ -410,20 +410,40 @@ fn seeded_runs_are_identical() {
 
 #[test]
 fn actuation_delay_defers_intent() {
-    let mut tb = laptop_testbed();
-    let params: BTreeMap<String, Value> =
-        [("actuation_delay_ms".to_string(), Value::Int(2000))].into_iter().collect();
-    tb.run_with("Lamp", "L1", params, false).unwrap();
-    tb.run_for(SimDuration::from_secs(1));
-    tb.edit("L1", vmap! { "power" => "on" }).unwrap();
-    // shortly after the edit the actuation hasn't landed yet
-    tb.run_for(SimDuration::from_millis(500));
-    let model = tb.check("L1").unwrap();
-    assert_eq!(model.status(&"power".into()).unwrap().as_str(), Some("off"));
-    // after the actuation delay it has
-    tb.run_for(SimDuration::from_secs(3));
-    let model = tb.check("L1").unwrap();
-    assert_eq!(model.status(&"power".into()).unwrap().as_str(), Some("on"));
+    // a dedicated lamp and a pooled one honour the same delay
+    for pooled in [false, true] {
+        let mut tb = laptop_testbed();
+        let params: BTreeMap<String, Value> =
+            [("actuation_delay_ms".to_string(), Value::Int(2000))].into_iter().collect();
+        let pool = if pooled {
+            Some(tb.run_pool("Lamp", &["L1".to_string()], params, false).unwrap().0)
+        } else {
+            tb.run_with("Lamp", "L1", params, false).unwrap();
+            None
+        };
+        tb.run_for(SimDuration::from_secs(1));
+        if pooled {
+            // pooled digis are not `edit` targets: publish what `edit` sends
+            let editor = tb.app_with_mqtt(tb.broker_addr().node, "editor");
+            tb.run_for(SimDuration::from_millis(100));
+            let payload = vmap! { "power" => "on" }.to_json().into_bytes();
+            editor.borrow_mut().publish(tb.sim(), "digibox/digi/L1/intent", payload, QoS::AtLeastOnce);
+        } else {
+            tb.edit("L1", vmap! { "power" => "on" }).unwrap();
+        }
+        let model = |tb: &mut Testbed| match &pool {
+            Some(pool) => pool.borrow().model("L1").unwrap().clone(),
+            None => tb.check("L1").unwrap(),
+        };
+        // shortly after the edit the actuation hasn't landed yet
+        tb.run_for(SimDuration::from_millis(500));
+        let model_now = model(&mut tb);
+        assert_eq!(model_now.status(&"power".into()).unwrap().as_str(), Some("off"), "pooled={pooled}");
+        // after the actuation delay it has
+        tb.run_for(SimDuration::from_secs(3));
+        let model_now = model(&mut tb);
+        assert_eq!(model_now.status(&"power".into()).unwrap().as_str(), Some("on"), "pooled={pooled}");
+    }
 }
 
 #[test]

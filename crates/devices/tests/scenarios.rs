@@ -96,10 +96,12 @@ fn urban_mobility_reattach() {
     tb.edit("BlockA", digibox_model::vmap! {}).ok();
     tb.digi("BlockA").unwrap().borrow_mut().force_fields(
         tb.sim(),
+        "BlockA",
         digibox_model::vmap! { "pedestrians" => 0, "noise_db" => 35.0, "streetlights_on" => false },
     );
     tb.digi("BlockB").unwrap().borrow_mut().force_fields(
         tb.sim(),
+        "BlockB",
         digibox_model::vmap! { "pedestrians" => 200, "noise_db" => 70.0, "streetlights_on" => false },
     );
     tb.attach("Phone1", "BlockA").unwrap();

@@ -30,9 +30,8 @@ pub fn parse(input: &str) -> Result<Value> {
 pub fn parse_documents(input: &str) -> Result<Vec<Value>> {
     let mut docs = Vec::new();
     let mut lines: Vec<Line> = Vec::new();
-    let mut lineno = 0usize;
-    for raw in input.lines() {
-        lineno += 1;
+    for (i, raw) in input.lines().enumerate() {
+        let lineno = i + 1;
         let stripped = strip_comment(raw);
         let trimmed = stripped.trim_end();
         if trimmed.trim().is_empty() {
@@ -44,7 +43,7 @@ pub fn parse_documents(input: &str) -> Result<Vec<Value>> {
             continue;
         }
         let indent = trimmed.len() - trimmed.trim_start().len();
-        if indent % 2 != 0 {
+        if !indent.is_multiple_of(2) {
             return Err(ModelError::Parse {
                 line: lineno,
                 reason: "indentation must be a multiple of 2 spaces".into(),

@@ -22,11 +22,7 @@
 //!   parser, and the [`ToValue`]/[`FromValue`] traits for persisted types.
 //! * [`dml`] — the *Digibox Model Language*: the YAML-like subset used for
 //!   shareable model/config files, with a hand-written parser and printer.
-//! * [`columns`] — struct-of-arrays column storage ([`ColumnStore`]) that
-//!   holds the scalar leaves of many digi models in dense typed columns,
-//!   keyed by interned attribute ids ([`ColumnId`]) for million-digi pools.
 
-pub mod columns;
 pub mod dml;
 mod error;
 mod infer;
@@ -38,7 +34,6 @@ mod path;
 mod schema;
 mod value;
 
-pub use columns::{ColumnId, ColumnStore, RowId};
 pub use error::ModelError;
 pub use infer::infer_schema;
 pub use json::{FromValue, JsonError, ToValue};

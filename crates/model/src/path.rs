@@ -48,13 +48,6 @@ thread_local! {
     /// a pathological caller interning unbounded untrusted input.
     static FIELD_CACHE: RefCell<HashMap<Box<str>, InternedField>> =
         RefCell::new(HashMap::new());
-
-    /// Append-only id registry: literal → dense u32 and back. Unlike
-    /// `FIELD_CACHE` this never clears — a column id handed out once must
-    /// stay valid for the life of the thread, because columnar stores
-    /// (`crate::columns`) index their dense arrays by it.
-    static FIELD_IDS: RefCell<(HashMap<Box<str>, u32>, Vec<Box<str>>)> =
-        RefCell::new((HashMap::new(), Vec::new()));
 }
 
 const FIELD_CACHE_CAP: usize = 4096;
@@ -111,34 +104,6 @@ impl Path {
     /// Interned `<field>.status` — pre-resolved once per literal.
     pub fn interned_status(s: &str) -> Result<Path> {
         Ok(interned_field(s)?.status)
-    }
-
-    /// Dense numeric handle for an interned field literal, for use as a
-    /// column index in [`crate::columns`]. Ids are assigned sequentially in
-    /// first-intern order and are **append-only**: they survive
-    /// `FIELD_CACHE` evictions, so an id handed out once stays valid for
-    /// the life of the thread. Ids are thread-local — never persist them or
-    /// let them leak into serialized/observable output (use the literal).
-    pub fn column_id(s: &str) -> Result<u32> {
-        // Validate through the parse cache first so malformed literals
-        // never claim an id slot.
-        interned_field(s)?;
-        Ok(FIELD_IDS.with(|ids| {
-            let mut ids = ids.borrow_mut();
-            if let Some(&id) = ids.0.get(s) {
-                return id;
-            }
-            let id = ids.1.len() as u32;
-            ids.0.insert(s.into(), id);
-            ids.1.push(s.into());
-            id
-        }))
-    }
-
-    /// The literal a [`Path::column_id`] was assigned for, or `None` if the
-    /// id was never issued on this thread.
-    pub fn column_literal(id: u32) -> Option<String> {
-        FIELD_IDS.with(|ids| ids.borrow().1.get(id as usize).map(|s| s.to_string()))
     }
 
     /// Build a path from pre-split segments.
@@ -338,22 +303,6 @@ mod tests {
             Path::from("power.status")
         );
         assert!(Path::interned("a..b").is_err());
-    }
-
-    #[test]
-    fn column_ids_are_dense_stable_and_reversible() {
-        let a = Path::column_id("colid.test.a").unwrap();
-        let b = Path::column_id("colid.test.b").unwrap();
-        assert_ne!(a, b);
-        assert_eq!(Path::column_id("colid.test.a").unwrap(), a);
-        assert_eq!(Path::column_literal(a).as_deref(), Some("colid.test.a"));
-        assert!(Path::column_id("a..b").is_err());
-        // Ids survive a FIELD_CACHE eviction cycle: blow past the cap and
-        // confirm the original literal still maps to the same id.
-        for i in 0..(FIELD_CACHE_CAP + 8) {
-            let _ = Path::interned(&format!("colid.churn.{i}"));
-        }
-        assert_eq!(Path::column_id("colid.test.a").unwrap(), a);
     }
 
     #[test]

@@ -61,8 +61,11 @@ pub trait Service {
     /// that share `(at, dst)` — exactly a prefix of the global `(at, seq)`
     /// order, so coalescing can never reorder observable events. The
     /// default forwards each datagram to [`Service::on_datagram`] in queue
-    /// order; overriding is purely an optimization (a pool walks its arena
-    /// once per batch instead of once per datagram).
+    /// order, which every digibox host keeps. An override must not change
+    /// the order of what the service sends: a service that answers each
+    /// datagram synchronously (an MQTT session's transport ACK and PUBACK)
+    /// would otherwise move those replies ahead of the handler output
+    /// they used to follow, and every later link-RNG draw with them.
     fn on_datagram_batch(&mut self, sim: &mut Sim, batch: &[Datagram]) {
         for dg in batch {
             self.on_datagram(sim, dg.clone());

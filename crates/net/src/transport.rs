@@ -270,7 +270,14 @@ impl ReliableEndpoint {
             // Only the current incarnation's acks count; a stale one could
             // otherwise "acknowledge" fresh frames the peer never saw.
             if conn.send_inc == inc {
-                conn.unacked.retain(|&seq, _| seq > ack);
+                // Pop from the front: a cumulative ack costs the frames it
+                // retires, not the whole in-flight window.
+                while let Some(frame) = conn.unacked.first_entry() {
+                    if *frame.key() > ack {
+                        break;
+                    }
+                    frame.remove();
+                }
             }
         }
     }

@@ -62,7 +62,7 @@ impl ReplaySchedule {
                 _ => None,
             })
             .collect();
-        steps.sort_by(|a, b| a.ts.cmp(&b.ts));
+        steps.sort_by_key(|s| s.ts);
         ReplaySchedule { steps }
     }
 

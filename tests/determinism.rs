@@ -4,12 +4,11 @@
 //! run twice under one seed must produce byte-identical traces and model
 //! states; a different seed must not.
 //!
-//! The pooled tests extend the same contract to the arena/columnar
-//! storage layer: a 10k-digi pooled testbed must digest byte-identically
-//! across runs (tick groups, batched deliveries, and column mirrors must
-//! not perturb observable order), and across jobs=1 vs jobs=N sweeps
-//! (column ids are interned per worker thread in arbitrary order, so the
-//! snapshot path must canonicalize before anything is digested).
+//! The pooled tests extend the same contract to the arena storage layer:
+//! a 10k-digi pooled testbed must digest byte-identically across runs
+//! (tick groups and kernel-coalesced deliveries must not perturb
+//! observable order), and across jobs=1 vs jobs=N sweeps (per-thread
+//! intern tables must never leak into anything digested).
 
 use digibox_integration::{laptop, no_params};
 use digibox_net::SimDuration;
@@ -74,8 +73,8 @@ fn different_seed_diverges() {
 }
 
 /// Build a pooled testbed (`digis` Occupancy mocks in one arena pool),
-/// run it, and digest the trace plus every pooled digi's fields read
-/// back through the column snapshot path, in fixed name order.
+/// run it, and digest the trace plus every pooled digi's fields, in fixed
+/// name order.
 fn pooled_digests(seed: u64, digis: usize, secs: u64) -> (String, String) {
     let mut tb = laptop(seed);
     let names: Vec<String> = (0..digis).map(|i| format!("P{i}")).collect();
@@ -87,10 +86,10 @@ fn pooled_digests(seed: u64, digis: usize, secs: u64) -> (String, String) {
     let p = pool.borrow();
     let mut states = String::new();
     for name in &names {
-        let fields = p.snapshot_fields(name).expect("pooled digi snapshots");
+        let model = p.model(name).expect("pooled digi is hosted");
         states.push_str(name);
         states.push('=');
-        states.push_str(&fields.to_json());
+        states.push_str(&model.fields().to_json());
         states.push('\n');
     }
     let state_digest = sha256(states.as_bytes()).to_string();
@@ -102,15 +101,15 @@ fn pooled_10k_is_bit_identical_across_runs() {
     let (trace_a, state_a) = pooled_digests(42, 10_000, 5);
     let (trace_b, state_b) = pooled_digests(42, 10_000, 5);
     assert_eq!(trace_a, trace_b, "10k-digi pooled trace diverged between identical runs");
-    assert_eq!(state_a, state_b, "10k-digi column snapshots diverged between identical runs");
+    assert_eq!(state_a, state_b, "10k-digi model states diverged between identical runs");
 }
 
 #[test]
 fn pooled_sweep_digests_match_at_any_jobs_count() {
-    // Per-thread column-id interning must never leak into digests: the
-    // same seeds swept serially and work-stealing across threads (each
-    // worker interning columns in a different order) must merge to
-    // byte-identical digest vectors.
+    // Per-thread intern tables must never leak into digests: the same
+    // seeds swept serially and work-stealing across threads (each worker
+    // interning paths in a different order) must merge to byte-identical
+    // digest vectors.
     let seeds: Vec<u64> = (1..=4).collect();
     let run = |seed: u64| -> Result<(String, String), String> { Ok(pooled_digests(seed, 500, 10)) };
     let serial = digibox_core::sweep::sweep(&seeds, 1, run);

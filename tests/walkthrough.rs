@@ -86,10 +86,12 @@ fn device_mobility_changes_aggregation() {
     tb.run_for(SimDuration::from_secs(1));
     tb.digi("Busy").unwrap().borrow_mut().force_fields(
         tb.sim(),
+        "Busy",
         digibox_model::vmap! { "pedestrians" => 300, "noise_db" => 75.0, "streetlights_on" => false },
     );
     tb.digi("Quiet").unwrap().borrow_mut().force_fields(
         tb.sim(),
+        "Quiet",
         digibox_model::vmap! { "pedestrians" => 0, "noise_db" => 35.0, "streetlights_on" => false },
     );
     tb.attach("Phone", "Quiet").unwrap();
