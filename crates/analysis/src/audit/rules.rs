@@ -346,8 +346,7 @@ fn hash_iteration(
         // illegal in for-headers, so the first depth-0 `{` is the body)
         let mut depth = 0i32;
         let mut body_at = None;
-        for j in in_at + 1..code.len() {
-            let t = code[j];
+        for (j, &t) in code.iter().enumerate().skip(in_at + 1) {
             if t.is_punct('(') || t.is_punct('[') {
                 depth += 1;
             } else if t.is_punct(')') || t.is_punct(']') {
@@ -500,15 +499,12 @@ fn chain_end(code: &[&Token], i: usize) -> usize {
 /// in an order-independent reduction.
 fn chain_is_order_safe(code: &[&Token], from: usize, to: usize, methods: &[String]) -> bool {
     // any BTreeMap/BTreeSet/BinaryHeap mention in the chain's turbofish
-    for j in from..to.min(code.len()) {
-        if code[j].kind == TokenKind::Ident && code[j].text.starts_with("BTree") {
+    for t in code.iter().take(to).skip(from) {
+        if t.kind == TokenKind::Ident && t.text.starts_with("BTree") {
             return true;
         }
     }
-    match methods.last() {
-        Some(last) if ORDER_FREE_REDUCERS.contains(&last.as_str()) => true,
-        _ => false,
-    }
+    matches!(methods.last(), Some(last) if ORDER_FREE_REDUCERS.contains(&last.as_str()))
 }
 
 /// For a chain ending in `collect`: does the enclosing statement collect
@@ -537,8 +533,8 @@ fn collected_into_sorted_or_btree(code: &[&Token], i: usize, chain_end: usize) -
         return false;
     }
     // BTree-typed annotation counts immediately
-    for j in at + 1..i {
-        if code[j].kind == TokenKind::Ident && code[j].text.starts_with("BTree") {
+    for t in code.iter().take(i).skip(at + 1) {
+        if t.kind == TokenKind::Ident && t.text.starts_with("BTree") {
             return true;
         }
     }

@@ -2,7 +2,7 @@
 //! reduced E1/E6 sweep, written to `BENCH_substrate.json`, the E11
 //! sweep-scaling row (jobs=1 vs jobs=all on a 16-seed chaos campaign),
 //! written to `BENCH_sweep.json`, and the E13 `max_digis_per_sec` scaling
-//! row (pooled arena testbeds at 10k/100k digis vs a per-digi-timer
+//! row (pooled testbeds at 10k/100k digis vs a per-digi-timer
 //! baseline), written to `BENCH_scale.json`, and the E14 `islands_speedup`
 //! row (one 2k-digi sim space-partitioned across island kernels at 1
 //! worker vs one per core), written to `BENCH_islands.json`. Set
@@ -28,7 +28,7 @@ use digibox_bench::baseline::{OldEventQueue, OldTopicTrie};
 use digibox_bench::{build_deployment, laptop, measure_gets, parallel_sweep, report};
 use digibox_broker::TopicTrie;
 use digibox_core::campaign::Campaign;
-use digibox_core::islands::{self, IslandEnv, IslandSpec, IslandsConfig};
+use digibox_core::islands::{self, IslandEnv, IslandSpec};
 use digibox_core::properties::DigiCondition;
 use digibox_core::{Condition, SceneProperty, Testbed, TestbedConfig};
 use digibox_devices::full_catalog;
@@ -195,7 +195,7 @@ fn obs_run(seed: u64, metrics: bool) -> (f64, u64) {
     (wall, tb.obs_snapshot().counter("kernel.events"))
 }
 
-/// One E13 measurement: `digis` pooled into 10k-digi arena pods across an
+/// One E13 measurement: `digis` pooled into 10k-digi pool pods across an
 /// EC2 cluster, advanced `virtual_secs`. Returns (wall seconds, kernel
 /// events, total pool ticks, batched deliveries, queue-depth histogram).
 fn scale_pooled(digis: usize, virtual_secs: u64) -> (f64, u64, u64, u64, Value) {
@@ -263,7 +263,7 @@ fn scale_per_digi(digis: usize, virtual_secs: u64) -> (f64, u64) {
 }
 
 /// The E14 fixture: four islands, each pooling `digis_per_island`
-/// occupancy digis into one arena pod — one logical testbed split across
+/// occupancy digis into one pool pod — one logical testbed split across
 /// island kernels for the space-parallel scaling row.
 fn island_specs(digis_per_island: usize) -> Vec<IslandSpec> {
     (0..4)
@@ -295,7 +295,7 @@ fn islands_run_at(workers: usize) -> (Vec<String>, f64, u64, u64) {
     let run = islands::run(
         7,
         island_specs(500),
-        &IslandsConfig { workers, ..IslandsConfig::default() },
+        workers,
         SimDuration::from_secs(5),
         &[],
         |island, tb, _t0| {
@@ -493,7 +493,7 @@ fn main() {
     std::fs::write(&obs_path, obs_doc.to_json_pretty()).expect("write obs report");
     report("smoke", &format!("wrote {obs_path}"));
 
-    // ---- E13: max_digis_per_sec — pooled arena testbeds vs per-digi timers ----
+    // ---- E13: max_digis_per_sec — pooled testbeds vs per-digi timers ----
     const VIRTUAL_SECS: u64 = 5;
     let (base_wall, base_events) = scale_per_digi(10_000, VIRTUAL_SECS);
     let base_eps = base_events as f64 / base_wall;
@@ -536,7 +536,7 @@ fn main() {
         });
     }
     let scale_ratio = eps_100k / base_eps;
-    report("smoke", &format!("E13 gate: arena@100k / per-digi@10k = {scale_ratio:.2}x (need >= 5)"));
+    report("smoke", &format!("E13 gate: pooled@100k / per-digi@10k = {scale_ratio:.2}x (need >= 5)"));
     let scale_doc = vmap! {
         "bench" => "max_digis_per_sec scaling (E13)",
         "harness" => "bench_smoke bin (std::time::Instant)",

@@ -83,7 +83,7 @@ pub fn with_fidelity(fidelity: FidelityMode, seed: u64) -> Testbed {
     Testbed::laptop(full_catalog(), TestbedConfig { seed, fidelity, ..Default::default() })
 }
 
-// Multi-seed sweeps now run on the work-stealing engine in `core::sweep`
+// Multi-seed sweeps now run on the shared-cursor engine in `core::sweep`
 // (DESIGN.md §10); the chunked crossbeam driver that used to live here is
 // gone. Re-exported so existing benches keep their import path.
 pub use digibox_core::sweep::parallel_sweep;

@@ -16,7 +16,7 @@
 
 use std::path::Path;
 
-use digibox_core::islands::{self, IslandEnv, IslandSpec, IslandsConfig};
+use digibox_core::islands::{self, IslandEnv, IslandSpec};
 use digibox_core::properties::DigiCondition;
 use digibox_core::sweep::sweep;
 use digibox_core::{Condition, SceneProperty, Testbed, TestbedConfig};
@@ -39,7 +39,7 @@ options:
                                       ensemble: Occupancy O1 + Room R1 + Lamp L1
                                       with the lamp-follows-vacancy property)
   --pool Type:Prefix:N                add N digis named Prefix0..Prefix<N-1>
-                                      hosted in one arena pool (repeatable;
+                                      hosted in one shared pool (repeatable;
                                       the million-digi scaling path)
   --attach child:parent               attach after startup (repeatable)
   --islands N                         space-parallel mode (DESIGN.md §15): run
@@ -60,7 +60,7 @@ struct RunSpec {
     managed: bool,
 }
 
-/// One arena pool to start: `Type:Prefix:N` hosts `Prefix0..Prefix<N-1>`.
+/// One shared pool to start: `Type:Prefix:N` hosts `Prefix0..Prefix<N-1>`.
 #[derive(Debug, Clone, PartialEq)]
 struct PoolSpec {
     kind: String,
@@ -445,11 +445,10 @@ fn island_sweep_row(
             Ok(tb)
         }));
     }
-    let config = IslandsConfig { workers, ..IslandsConfig::default() };
     let run = islands::run(
         seed,
         specs,
-        &config,
+        workers,
         SimDuration::from_secs(secs),
         &[],
         |_, tb, _t0| {

@@ -18,7 +18,7 @@ use digibox_net::chaos::{self, FaultKind, FaultPlan, FaultWindow};
 use digibox_net::{NodeId, SimDuration, SimTime};
 use digibox_trace::RecordKind;
 
-use crate::islands::{self, IslandSpec, IslandsConfig};
+use crate::islands::{self, IslandSpec};
 use crate::sweep::{self, SweepOutcome};
 use crate::testbed::Testbed;
 
@@ -277,13 +277,12 @@ impl Campaign {
         F: Fn(u64) -> Vec<IslandSpec> + Sync,
     {
         let span = self.plan.duration() + self.plan.convergence();
-        let config = IslandsConfig { workers, ..IslandsConfig::default() };
         let outcome = sweep::sweep(seeds, jobs, |seed| {
             let windows = self.plan.schedule(seed);
             let run = islands::run(
                 seed,
                 specs_for(seed),
-                &config,
+                workers,
                 span,
                 &windows,
                 |_, tb, t0| {

@@ -2,12 +2,12 @@
 //! program + attachment mirror + logging, with all outbound messages
 //! collected into an outbox instead of being sent directly.
 //!
-//! One host embeds cells: [`crate::DigiPool`]. A dedicated digi is a
-//! one-cell pool on its own session (the paper's deployment model: every
-//! mock/scene is its own pod); a shared pool runs many cells behind one
-//! service (the paper's §6 "efficient simulation" question: FaaS-style
-//! consolidation, where idle digis cost no sessions or timers of their
-//! own).
+//! One host stores cells, by value in host order: [`crate::DigiPool`]. A
+//! dedicated digi is a one-cell pool on its own session (the paper's
+//! deployment model: every mock/scene is its own pod); a shared pool runs
+//! many cells behind one service (the paper's §6 "efficient simulation"
+//! question: FaaS-style consolidation, where idle digis cost no sessions
+//! or timers of their own).
 
 use digibox_model::json::{self, ToValue};
 use digibox_model::{diff, Model, Patch, Path, Value};

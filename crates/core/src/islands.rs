@@ -57,6 +57,10 @@ const UPLINK_PORT: u16 = 48;
 const AGG_PORT: u16 = 47;
 /// Timer token used by [`IslandUplink`].
 const UPLINK_TIMER: TimerToken = 0x0015_1A4D;
+/// Period of the cross-island uplink beacon each island sends to the
+/// island-0 aggregator (guaranteed cross traffic that exercises the
+/// barrier protocol even when the scenes themselves are quiet).
+const UPLINK_PERIOD: SimDuration = SimDuration::from_millis(500);
 
 /// Everything an island builder needs to construct its [`Testbed`]:
 /// the campaign seed, the island's identity, and the shared cluster
@@ -98,25 +102,6 @@ impl IslandSpec {
         F: FnOnce(&IslandEnv) -> crate::Result<Testbed> + Send + 'static,
     {
         IslandSpec { name: name.into(), build: Box::new(build) }
-    }
-}
-
-/// Tuning knobs for the island engine.
-#[derive(Debug, Clone)]
-pub struct IslandsConfig {
-    /// Worker threads executing the island kernels; `0` means one per
-    /// available core. The worker count never changes any digest — it
-    /// only decides which thread hosts which island.
-    pub workers: usize,
-    /// Period of the cross-island uplink beacon each island sends to the
-    /// island-0 aggregator (guaranteed cross traffic that exercises the
-    /// barrier protocol even when the scenes themselves are quiet).
-    pub uplink_period: SimDuration,
-}
-
-impl Default for IslandsConfig {
-    fn default() -> Self {
-        IslandsConfig { workers: 0, uplink_period: SimDuration::from_millis(500) }
     }
 }
 
@@ -278,7 +263,6 @@ fn with_island<T>(st: &mut IslandState, f: impl FnOnce(&mut IslandState) -> T) -
 struct IslandUplink {
     addr: Addr,
     target: Addr,
-    period: SimDuration,
     island: u64,
     counter: u64,
     sent: obs::CounterId,
@@ -287,7 +271,7 @@ struct IslandUplink {
 
 impl Service for IslandUplink {
     fn on_start(&mut self, sim: &mut Sim) {
-        sim.set_timer(self.addr, self.period, UPLINK_TIMER);
+        sim.set_timer(self.addr, UPLINK_PERIOD, UPLINK_TIMER);
     }
 
     fn on_timer(&mut self, sim: &mut Sim, _token: TimerToken) {
@@ -295,7 +279,7 @@ impl Service for IslandUplink {
         let payload = format!("island {} beacon {}", self.island, self.counter);
         sim.send(self.addr, self.target, Bytes::from(payload));
         obs::add(self.sent, 1);
-        sim.set_timer(self.addr, self.period, UPLINK_TIMER);
+        sim.set_timer(self.addr, UPLINK_PERIOD, UPLINK_TIMER);
     }
 
     fn on_datagram(&mut self, _sim: &mut Sim, _dg: Datagram) {
@@ -319,7 +303,7 @@ impl Service for IslandAggregator {
 
 /// Align an island to the global start time, install its island scope and
 /// bind the cross-island beacon services.
-fn start_island(st: &mut IslandState, t0: SimTime, period: SimDuration) {
+fn start_island(st: &mut IslandState, t0: SimTime) {
     let now = st.tb.now();
     if t0 > now {
         st.tb.run_for(t0.since(now));
@@ -329,7 +313,6 @@ fn start_island(st: &mut IslandState, t0: SimTime, period: SimDuration) {
     let uplink = Rc::new(RefCell::new(IslandUplink {
         addr: Addr::new(node, UPLINK_PORT),
         target: Addr::new(NodeId(0), AGG_PORT),
-        period,
         island: st.index as u64,
         counter: 0,
         sent: obs::counter("islands.uplink_sent"),
@@ -391,13 +374,11 @@ fn run_epoch(
 
 /// Worker thread body: build the owned islands, then serve the
 /// coordinator's command stream until `Finish` (or failure).
-#[allow(clippy::too_many_arguments)] // the per-thread half of `run`'s arguments
 fn worker_main<R, F>(
     islands: Vec<(usize, IslandSpec)>,
     seed: u64,
     k: usize,
     topology: Topology,
-    uplink_period: SimDuration,
     cmd_rx: Receiver<Cmd>,
     res_tx: Sender<Report<R>>,
     finish: &F,
@@ -461,7 +442,7 @@ fn worker_main<R, F>(
                 for st in &mut states {
                     let (index, name) = (st.index, st.name.clone());
                     let r = catch_unwind(AssertUnwindSafe(|| {
-                        with_island(st, |st| start_island(st, t0, uplink_period))
+                        with_island(st, |st| start_island(st, t0))
                     }));
                     if let Err(p) = r {
                         return fail(index, &name, format!("panicked: {}", panic_message(&*p)));
@@ -665,6 +646,10 @@ pub(crate) fn reapply_links(
 /// loop over `span` (with the fault `windows` of a chaos plan resolved at
 /// epoch fences), and finally reduce each island through `finish`.
 ///
+/// Islands run on `workers` threads (`0` = one per available core). The
+/// worker count never changes any digest — it only decides which thread
+/// hosts which island.
+///
 /// `finish` runs on the island's worker thread with that island's
 /// observability state installed — `Testbed::obs_snapshot` inside it sees
 /// exactly the island's own metrics. Results come back in island order.
@@ -676,7 +661,7 @@ pub(crate) fn reapply_links(
 pub fn run<R, F>(
     seed: u64,
     specs: Vec<IslandSpec>,
-    config: &IslandsConfig,
+    workers: usize,
     span: SimDuration,
     faults: &[FaultWindow],
     finish: F,
@@ -689,7 +674,7 @@ where
     if k == 0 {
         return Err("islands::run needs at least one island".to_string());
     }
-    let workers = resolve_jobs(config.workers).min(k);
+    let workers = resolve_jobs(workers).min(k);
     let topology = islands_cluster(k);
 
     let mut assignments: Vec<Vec<(usize, IslandSpec)>> = (0..workers).map(|_| Vec::new()).collect();
@@ -698,7 +683,6 @@ where
         assignments[i % workers].push((i, spec));
         owned[i % workers].push(i);
     }
-    let uplink_period = config.uplink_period;
     let finish = &finish;
 
     // Worker threads are scoped: if coordination errors out, dropping the
@@ -713,7 +697,7 @@ where
             let res_tx = res_tx.clone();
             let topo = topology.clone();
             scope.spawn(move || {
-                worker_main(worker_islands, seed, k, topo, uplink_period, rx, res_tx, finish)
+                worker_main(worker_islands, seed, k, topo, rx, res_tx, finish)
             });
         }
         drop(res_tx);
@@ -886,11 +870,10 @@ mod tests {
     }
 
     fn digest_run(workers: usize, k: usize, faults: &[FaultWindow]) -> IslandsRun<(u64, String)> {
-        let config = IslandsConfig { workers, ..IslandsConfig::default() };
         run(
             7,
             bare_specs(k),
-            &config,
+            workers,
             SimDuration::from_secs(3),
             faults,
             |_, tb: &mut Testbed, _| (tb.now().as_nanos(), tb.obs_snapshot().to_json()),
@@ -1076,7 +1059,7 @@ mod tests {
         let err = run(
             1,
             specs,
-            &IslandsConfig { workers: 2, ..IslandsConfig::default() },
+            2,
             SimDuration::from_secs(1),
             &[],
             |_, _tb: &mut Testbed, _| (),
@@ -1095,7 +1078,7 @@ mod tests {
         let err = run(
             1,
             specs,
-            &IslandsConfig::default(),
+            0,
             SimDuration::from_secs(1),
             &[],
             |_, _tb: &mut Testbed, _| (),

@@ -33,9 +33,10 @@
 //! * [`AppClient`] — the application side: a REST/MQTT client endpoint
 //!   with latency accounting, used by example apps and the §4
 //!   microbenchmarks.
-//! * [`sweep`] — the deterministic multi-core sweep engine: seed-sharded
-//!   work-stealing execution with canonical-order merge, so campaigns and
-//!   benches scale across cores without changing a single digest.
+//! * [`sweep`] — the deterministic multi-core sweep engine: workers claim
+//!   seeds from one shared cursor and results merge in canonical order,
+//!   so campaigns and benches scale across cores without changing a
+//!   single digest.
 //! * [`islands`] — deterministic space-parallel execution *inside* one
 //!   run: one event kernel per scene island, synchronized at conservative
 //!   lookahead barriers, with cross-island datagrams merged in canonical
@@ -68,8 +69,8 @@ pub use checkpoint::{CheckpointInfo, CheckpointStore};
 pub use catalog::{Catalog, CatalogError};
 pub use dbox::Dbox;
 pub use footprint::Footprint;
-pub use islands::{IslandEnv, IslandSpec, IslandsConfig, IslandsRun};
-pub use pool::{Arena, DigiArena, DigiId, DigiPool, PoolStats};
+pub use islands::{IslandEnv, IslandSpec, IslandsRun};
+pub use pool::{DigiPool, PoolStats};
 pub use program::{DigiProgram, LoopCtx, SimCtx};
 pub use properties::{Condition, PropertyChecker, SceneProperty, Temporal};
 pub use sweep::{parallel_sweep, SeedError, SeedRun, SweepOutcome};

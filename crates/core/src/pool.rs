@@ -25,25 +25,25 @@
 //!   dominates at thousands of mostly-idle mocks. The `e9_faas_pooling`
 //!   bench quantifies the difference.
 //!
-//! ## Storage: arena + slabs
+//! ## Storage: one `Vec` in host order
 //!
-//! Cells live in a [`DigiArena`] — slabs addressed by a dense [`DigiId`]
-//! (a packed slot index plus a generation tag, so a recycled slot
-//! invalidates every stale handle) — instead of a per-digi
-//! `Rc<RefCell<...>>` object graph. Checkpoints read each cell's
-//! `model.fields()` directly.
+//! Cells live by value in one `Vec`, in the order they were hosted,
+//! instead of a per-digi `Rc<RefCell<...>>` object graph; a sorted name
+//! map gives each cell's index. Nothing removes a cell from a live host
+//! (stopping a dedicated digi unbinds its whole host), so an index held
+//! by a tick group or a pending actuation always names the same cell.
+//! Checkpoints read each cell's `model.fields()` directly.
 //!
 //! ## Scheduling: one wheel entry per (interval, pool)
 //!
 //! Periodic ticks are driven by *tick groups*: the pool arms **one**
 //! kernel-wheel timer per distinct loop interval and, when it fires, walks
-//! the group's members in insertion order — a dense run over the arena —
-//! instead of keeping one wheel entry per digi. At 100k mostly-idle mocks
-//! this turns 100k queue entries into a handful. Cells hosted into an
-//! already-armed group adopt the group's phase (they first tick at the
-//! group's next firing); stale members left behind by evictions are
-//! skipped and compacted on the next firing. A session the broker lost is
-//! re-established at the next group firing, before any cell ticks.
+//! the group's members in insertion order instead of keeping one wheel
+//! entry per digi. At 100k mostly-idle mocks this turns 100k queue
+//! entries into a handful. Cells hosted into an already-armed group adopt
+//! the group's phase (they first tick at the group's next firing). A
+//! session the broker lost is re-established at the next group firing,
+//! before any cell ticks.
 //!
 //! Datagrams are handled one at a time, each pumped as it arrives: the
 //! session acknowledges a message before its handler publishes, so the
@@ -84,173 +84,6 @@ const ACTUATION_TOKEN_TAG: TimerToken = 1 << 61;
 /// Token space of the HTTP endpoint (the MQTT session uses space 1).
 const HTTP_TOKEN_SPACE: u16 = 2;
 
-// ---- arena -----------------------------------------------------------------
-
-/// Bits of a [`DigiId`] spent on the slot index: 2^20 slots ≥ the
-/// million-digi target.
-const ID_SLOT_BITS: u32 = 20;
-const ID_SLOT_MASK: u32 = (1 << ID_SLOT_BITS) - 1;
-/// Remaining bits tag the generation; wraps after 4096 recycles of a slot.
-const ID_GEN_MASK: u32 = (1 << (32 - ID_SLOT_BITS)) - 1;
-/// Entries per slab: large enough for cache-dense scans. A slab grows
-/// like any `Vec` up to this size, so a one-cell host stays small.
-const SLAB_CAP: usize = 1024;
-
-/// Dense generational handle into an [`Arena`]: a packed `(slot, gen)`
-/// pair. The generation tag makes stale handles safe — after a slot is
-/// recycled, ids from its previous life no longer resolve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DigiId(u32);
-
-impl DigiId {
-    fn pack(slot: u32, gen: u32) -> DigiId {
-        debug_assert!(slot <= ID_SLOT_MASK);
-        DigiId(slot | (gen << ID_SLOT_BITS))
-    }
-
-    /// The slab slot index (dense, recycled).
-    pub fn slot(self) -> u32 {
-        self.0 & ID_SLOT_MASK
-    }
-
-    /// The generation tag guarding against stale handles.
-    pub fn generation(self) -> u32 {
-        self.0 >> ID_SLOT_BITS
-    }
-
-    /// The packed raw id.
-    pub fn raw(self) -> u32 {
-        self.0
-    }
-}
-
-struct ArenaSlot<T> {
-    gen: u32,
-    value: Option<T>,
-}
-
-/// Slab-backed generational arena: values live in slabs of up to
-/// `SLAB_CAP` entries that never move between slabs, slots are recycled LIFO, and every handle carries a generation
-/// tag so a stale [`DigiId`] can never reach a recycled slot's new tenant.
-pub struct Arena<T> {
-    slabs: Vec<Vec<ArenaSlot<T>>>,
-    free: Vec<u32>,
-    next_slot: u32,
-    len: usize,
-}
-
-impl<T> Default for Arena<T> {
-    fn default() -> Self {
-        Arena::new()
-    }
-}
-
-impl<T> Arena<T> {
-    /// An empty arena.
-    pub fn new() -> Arena<T> {
-        Arena { slabs: Vec::new(), free: Vec::new(), next_slot: 0, len: 0 }
-    }
-
-    /// Live values.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no values are live.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total slots ever allocated (live + free).
-    pub fn capacity(&self) -> usize {
-        self.next_slot as usize
-    }
-
-    fn slot_ref(&self, slot: u32) -> Option<&ArenaSlot<T>> {
-        self.slabs.get(slot as usize / SLAB_CAP)?.get(slot as usize % SLAB_CAP)
-    }
-
-    fn slot_mut(&mut self, slot: u32) -> Option<&mut ArenaSlot<T>> {
-        self.slabs.get_mut(slot as usize / SLAB_CAP)?.get_mut(slot as usize % SLAB_CAP)
-    }
-
-    /// Store a value, reusing the most recently freed slot if any.
-    pub fn insert(&mut self, value: T) -> DigiId {
-        self.len += 1;
-        if let Some(slot) = self.free.pop() {
-            let s = self.slot_mut(slot).expect("free-listed slot exists");
-            debug_assert!(s.value.is_none());
-            s.value = Some(value);
-            return DigiId::pack(slot, s.gen);
-        }
-        let slot = self.next_slot;
-        assert!(slot <= ID_SLOT_MASK, "arena full: 2^{ID_SLOT_BITS} slots");
-        self.next_slot += 1;
-        if self.slabs.last().is_none_or(|s| s.len() == SLAB_CAP) {
-            // Start at one slot so a one-cell host holds exactly one.
-            self.slabs.push(Vec::with_capacity(1));
-        }
-        self.slabs
-            .last_mut()
-            .expect("slab pushed above")
-            .push(ArenaSlot { gen: 0, value: Some(value) });
-        DigiId::pack(slot, 0)
-    }
-
-    /// Remove and return the value behind `id`, bumping the slot's
-    /// generation so `id` (and any copy of it) goes stale. `None` if the
-    /// handle is already stale.
-    pub fn remove(&mut self, id: DigiId) -> Option<T> {
-        let s = self.slot_mut(id.slot())?;
-        if s.gen != id.generation() || s.value.is_none() {
-            return None;
-        }
-        let v = s.value.take();
-        s.gen = (s.gen + 1) & ID_GEN_MASK;
-        self.free.push(id.slot());
-        self.len -= 1;
-        v
-    }
-
-    /// Generation-checked read. `None` for stale or never-issued handles.
-    pub fn get(&self, id: DigiId) -> Option<&T> {
-        let s = self.slot_ref(id.slot())?;
-        if s.gen != id.generation() {
-            return None;
-        }
-        s.value.as_ref()
-    }
-
-    /// Generation-checked mutable read.
-    pub fn get_mut(&mut self, id: DigiId) -> Option<&mut T> {
-        let s = self.slot_mut(id.slot())?;
-        if s.gen != id.generation() {
-            return None;
-        }
-        s.value.as_mut()
-    }
-
-    /// Whether `id` still resolves.
-    pub fn contains(&self, id: DigiId) -> bool {
-        self.get(id).is_some()
-    }
-
-    /// Iterate live entries in slot (slab) order.
-    pub fn iter(&self) -> impl Iterator<Item = (DigiId, &T)> {
-        self.slabs.iter().enumerate().flat_map(|(si, slab)| {
-            slab.iter().enumerate().filter_map(move |(i, s)| {
-                let v = s.value.as_ref()?;
-                Some((DigiId::pack((si * SLAB_CAP + i) as u32, s.gen), v))
-            })
-        })
-    }
-}
-
-/// The pool's cell storage: a slab arena of [`DigiCell`]s.
-pub type DigiArena = Arena<DigiCell>;
-
-// ---- pool ------------------------------------------------------------------
-
 /// Pool-level counters.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PoolStats {
@@ -270,8 +103,8 @@ pub struct PoolStats {
 /// single kernel-wheel entry.
 struct TickGroup {
     interval_ms: u64,
-    /// Members in host order; stale ids are compacted on firing.
-    members: Vec<DigiId>,
+    /// Indices into `DigiPool::cells`, in host order.
+    members: Vec<usize>,
     /// Whether a wheel entry for this group is in flight.
     armed: bool,
 }
@@ -283,9 +116,10 @@ pub struct DigiPool {
     http: ReliableEndpoint,
     /// Last-will registered with every CONNECT (dedicated digis).
     will: Option<(String, Bytes)>,
-    arena: DigiArena,
-    /// Name → id, sorted (iteration order = digest order).
-    ids: BTreeMap<String, DigiId>,
+    /// Hosted cells in host order.
+    cells: Vec<DigiCell>,
+    /// Name → index into `cells`, sorted (iteration order = digest order).
+    ids: BTreeMap<String, usize>,
     /// One group per distinct loop interval (a handful); one wheel entry
     /// per armed group.
     tick_groups: Vec<TickGroup>,
@@ -293,7 +127,7 @@ pub struct DigiPool {
     started: bool,
     service_overhead: SimDuration,
     overhead_rng: Prng,
-    pending_actuations: HashMap<TimerToken, (DigiId, Vec<(Path, Value)>)>,
+    pending_actuations: HashMap<TimerToken, (usize, Vec<(Path, Value)>)>,
     next_actuation_token: u64,
     pending_responses: HashMap<TimerToken, (Addr, Bytes)>,
     next_response_token: u64,
@@ -318,7 +152,7 @@ impl DigiPool {
             conn,
             http: ReliableEndpoint::new(addr).with_space(HTTP_TOKEN_SPACE),
             will,
-            arena: Arena::new(),
+            cells: Vec::new(),
             ids: BTreeMap::new(),
             tick_groups: Vec::new(),
             started: false,
@@ -356,7 +190,10 @@ impl DigiPool {
         let conn = MqttConn::new(addr, broker, &format!("digi/{name}"));
         let will = Some((topics::lwt(name), Bytes::from_static(b"offline")));
         let overhead_rng = rng.split_str("service-overhead");
-        Rc::new(RefCell::new(DigiPool::with_session(addr, conn, will, service_overhead, overhead_rng)))
+        let mut pool = DigiPool::with_session(addr, conn, will, service_overhead, overhead_rng);
+        // Room for exactly its one cell: a first `push` would reserve four.
+        pool.cells.reserve_exact(1);
+        Rc::new(RefCell::new(pool))
     }
 
     /// The pool's bound address.
@@ -366,17 +203,17 @@ impl DigiPool {
 
     /// Digis currently hosted.
     pub fn len(&self) -> usize {
-        self.arena.len()
+        self.cells.len()
     }
 
     /// Whether the pool hosts no digis.
     pub fn is_empty(&self) -> bool {
-        self.arena.is_empty()
+        self.cells.is_empty()
     }
 
     /// Counters, with the live cell count filled in.
     pub fn stats(&self) -> PoolStats {
-        PoolStats { cells: self.arena.len(), ..self.stats.clone() }
+        PoolStats { cells: self.cells.len(), ..self.stats.clone() }
     }
 
     /// How many times the pool's broker session died and was re-created.
@@ -391,12 +228,7 @@ impl DigiPool {
 
     /// Hosted cells in name order.
     pub fn cells(&self) -> impl Iterator<Item = &DigiCell> {
-        self.ids.values().filter_map(|&id| self.arena.get(id))
-    }
-
-    /// The arena id of a hosted digi.
-    pub fn id_of(&self, name: &str) -> Option<DigiId> {
-        self.ids.get(name).copied()
+        self.ids.values().map(|&i| &self.cells[i])
     }
 
     /// A hosted digi's current model, if hosted here.
@@ -406,17 +238,17 @@ impl DigiPool {
 
     /// A hosted digi's cell, if hosted here.
     pub fn cell(&self, name: &str) -> Option<&DigiCell> {
-        self.arena.get(*self.ids.get(name)?)
+        self.cells.get(*self.ids.get(name)?)
     }
 
     /// A hosted digi's cell for in-place switches (`managed`, event
     /// generation) that publish nothing.
     pub fn cell_mut(&mut self, name: &str) -> Option<&mut DigiCell> {
-        self.arena.get_mut(*self.ids.get(name)?)
+        self.cells.get_mut(*self.ids.get(name)?)
     }
 
     /// Overwrite a hosted digi's fields and reprocess (replay steps,
-    /// checkpoint restore). The cell keeps its slab slot and tick group;
+    /// checkpoint restore). The cell keeps its place and tick group;
     /// a changed model is republished. Returns `false` if not hosted here.
     pub fn force_fields(&mut self, sim: &mut Sim, name: &str, fields: Value) -> bool {
         let now = sim.now();
@@ -433,7 +265,7 @@ impl DigiPool {
     /// from the program's schema (plus meta overrides). Before the pool
     /// binds, the cell waits for `on_start` (children can be attached
     /// meanwhile); afterwards it subscribes and announces through the live
-    /// session at once. Returns the arena id of the new cell.
+    /// session at once.
     pub fn host(
         &mut self,
         sim: &mut Sim,
@@ -442,31 +274,14 @@ impl DigiPool {
         rng: Prng,
         log: TraceLog,
         scene_logic_enabled: bool,
-    ) -> DigiId {
+    ) {
         let cell = DigiCell::new(model, program, rng, log, scene_logic_enabled);
-        let name = cell.name().to_string();
-        let id = self.arena.insert(cell);
-        self.ids.insert(name, id);
+        let i = self.cells.len();
+        self.ids.insert(cell.name().to_string(), i);
+        self.cells.push(cell);
         if self.started {
-            self.start_cell(sim, id);
+            self.start_cell(sim, i);
         }
-        id
-    }
-
-    /// Remove a hosted digi. Its slab slot returns to the free list; any
-    /// [`DigiId`] for it goes stale.
-    pub fn evict(&mut self, sim: &mut Sim, name: &str) -> bool {
-        let Some(id) = self.ids.remove(name) else {
-            return false;
-        };
-        let Some(cell) = self.arena.remove(id) else {
-            return false;
-        };
-        // The cell's tick-group entry goes stale with the id; it is
-        // skipped and compacted at the group's next firing.
-        let [intent_topic, set_topic] = cell.command_topics();
-        self.conn.unsubscribe(sim, &[&intent_topic, &set_topic]);
-        true
     }
 
     /// Attach `child` to the hosted scene `parent` (the child may live
@@ -500,18 +315,11 @@ impl DigiPool {
         }
     }
 
-    /// Live cells in slot order (host order until a slot is recycled).
-    fn slot_order(&self) -> Vec<DigiId> {
-        self.arena.iter().map(|(id, _)| id).collect()
-    }
-
     /// Subscribe a cell's command topics, then each attached child's model
     /// topic — the broker re-delivers retained child models on subscribe,
     /// which re-mirrors a scene after a session loss.
-    fn subscribe_cell(&mut self, sim: &mut Sim, id: DigiId) {
-        let Some(cell) = self.arena.get(id) else {
-            return;
-        };
+    fn subscribe_cell(&mut self, sim: &mut Sim, i: usize) {
+        let cell = &self.cells[i];
         let [intent_topic, set_topic] = cell.command_topics();
         let children = cell.model().meta.attach.clone();
         self.conn.subscribe(
@@ -525,17 +333,15 @@ impl DigiPool {
 
     /// Subscribe, run program init, publish the initial model and join the
     /// cell's tick group.
-    fn start_cell(&mut self, sim: &mut Sim, id: DigiId) {
-        self.subscribe_cell(sim, id);
+    fn start_cell(&mut self, sim: &mut Sim, i: usize) {
+        self.subscribe_cell(sim, i);
         let now = sim.now();
-        let Some(cell) = self.arena.get_mut(id) else {
-            return;
-        };
+        let cell = &mut self.cells[i];
         let mut out = Outbox::new();
         cell.start(now, &mut out);
         let interval = cell.interval_ms();
         self.flush(sim, out);
-        self.join_tick_group(sim, id, interval);
+        self.join_tick_group(sim, i, interval);
     }
 
     /// Re-establish a session the broker lost: CONNECT again, resubscribe
@@ -545,33 +351,30 @@ impl DigiPool {
     fn reconnect(&mut self, sim: &mut Sim) {
         self.reconnect_pending = false;
         self.conn.connect(sim, self.will.clone());
-        let ids = self.slot_order();
-        for &id in &ids {
-            self.subscribe_cell(sim, id);
+        for i in 0..self.cells.len() {
+            self.subscribe_cell(sim, i);
         }
         let now = sim.now();
-        for id in ids {
-            if let Some(cell) = self.arena.get_mut(id) {
-                let mut out = Outbox::new();
-                cell.republish_model(now, &mut out);
-                self.flush(sim, out);
-            }
+        for i in 0..self.cells.len() {
+            let mut out = Outbox::new();
+            self.cells[i].republish_model(now, &mut out);
+            self.flush(sim, out);
         }
     }
 
     /// Add a cell to the tick group for `interval_ms`, arming the group's
     /// single wheel entry if it isn't in flight. A cell joining an armed
     /// group adopts the group's phase.
-    fn join_tick_group(&mut self, sim: &mut Sim, id: DigiId, interval_ms: u64) {
+    fn join_tick_group(&mut self, sim: &mut Sim, i: usize, interval_ms: u64) {
         let group = match self.tick_groups.iter().position(|g| g.interval_ms == interval_ms) {
-            Some(i) => &mut self.tick_groups[i],
+            Some(g) => &mut self.tick_groups[g],
             None => {
                 let group = TickGroup { interval_ms, members: Vec::new(), armed: false };
                 self.tick_groups.push(group);
                 self.tick_groups.last_mut().expect("pushed above")
             }
         };
-        group.members.push(id);
+        group.members.push(i);
         if !group.armed {
             group.armed = true;
             sim.set_timer(
@@ -582,47 +385,39 @@ impl DigiPool {
         }
     }
 
-    /// A tick group's wheel entry fired: run every live member's loop
-    /// handler in host order (a dense scan of the arena), compact stale
-    /// ids, migrate cells whose programs changed their interval, and
-    /// re-arm once.
+    /// A tick group's wheel entry fired: run every member's loop handler
+    /// in host order, migrate cells whose programs changed their interval,
+    /// and re-arm once.
     fn run_tick_group(&mut self, sim: &mut Sim, token: TimerToken) {
         let interval_ms = token & !TICK_TOKEN_TAG;
         let Some(g) = self.tick_groups.iter().position(|g| g.interval_ms == interval_ms) else {
             return;
         };
-        let group = &mut self.tick_groups[g];
         self.stats.wheel_wakeups += 1;
-        let mut members = std::mem::take(&mut group.members);
+        let mut members = std::mem::take(&mut self.tick_groups[g].members);
         let now = sim.now();
-        let mut survivors = Vec::with_capacity(members.len());
-        let mut moved: Vec<(DigiId, u64)> = Vec::new();
-        for id in members.drain(..) {
-            let Some(cell) = self.arena.get_mut(id) else {
-                continue; // stale: evicted (and possibly recycled) since
-            };
+        let mut moved: Vec<(usize, u64)> = Vec::new();
+        members.retain(|&i| {
+            let cell = &mut self.cells[i];
             let mut out = Outbox::new();
             cell.tick(now, &mut out);
             let new_interval = cell.interval_ms();
             self.stats.ticks_dispatched += 1;
             self.flush(sim, out);
-            if new_interval == interval_ms {
-                survivors.push(id);
-            } else {
-                moved.push((id, new_interval));
+            if new_interval != interval_ms {
+                moved.push((i, new_interval));
             }
-        }
+            new_interval == interval_ms
+        });
         let group = &mut self.tick_groups[g];
-        // Merge defensively with anything hosted while we were running.
-        survivors.append(&mut group.members);
-        group.members = survivors;
+        group.members = members;
         if group.members.is_empty() {
             group.armed = false;
         } else {
             sim.set_timer(self.addr, SimDuration::from_millis(interval_ms), token);
         }
-        for (id, interval) in moved {
-            self.join_tick_group(sim, id, interval);
+        for (i, interval) in moved {
+            self.join_tick_group(sim, i, interval);
         }
     }
 
@@ -635,12 +430,10 @@ impl DigiPool {
         let digi = digi.to_string();
         match topics::channel_of(topic) {
             Some("intent") => {
-                let Some(&id) = self.ids.get(&digi) else {
+                let Some(&i) = self.ids.get(&digi) else {
                     return;
                 };
-                let Some(cell) = self.arena.get_mut(id) else {
-                    return;
-                };
+                let cell = &mut self.cells[i];
                 cell.log_message_in(now, topic, payload);
                 let updates = DigiCell::parse_intents(payload);
                 let delay_ms = cell.actuation_delay_ms();
@@ -653,7 +446,7 @@ impl DigiPool {
                     // lands after the configured delay.
                     let token = ACTUATION_TOKEN_TAG | self.next_actuation_token;
                     self.next_actuation_token += 1;
-                    self.pending_actuations.insert(token, (id, updates));
+                    self.pending_actuations.insert(token, (i, updates));
                     sim.set_timer(self.addr, SimDuration::from_millis(delay_ms), token);
                 }
             }
@@ -669,18 +462,16 @@ impl DigiPool {
             Some("model") => {
                 // fan the child model to every hosted scene mirroring it,
                 // in name order
-                let parents: Vec<DigiId> = self
+                let parents: Vec<usize> = self
                     .ids
                     .values()
                     .copied()
-                    .filter(|&id| self.arena.get(id).is_some_and(|c| c.has_child(&digi)))
+                    .filter(|&i| self.cells[i].has_child(&digi))
                     .collect();
-                for id in parents {
-                    if let Some(cell) = self.arena.get_mut(id) {
-                        let mut out = Outbox::new();
-                        cell.observe_child(now, &digi, payload, &mut out);
-                        self.flush(sim, out);
-                    }
+                for i in parents {
+                    let mut out = Outbox::new();
+                    self.cells[i].observe_child(now, &digi, payload, &mut out);
+                    self.flush(sim, out);
                 }
             }
             _ => {}
@@ -699,7 +490,7 @@ impl DigiPool {
                     _ => None,
                 };
                 let sole = if self.ids.len() == 1 { self.ids.values().next().copied() } else { None };
-                match named.or(sole).and_then(|id| self.arena.get_mut(id)) {
+                match named.or(sole).map(|i| &mut self.cells[i]) {
                     Some(cell) => {
                         let mut out = Outbox::new();
                         let resp = cell.route_http(sim.now(), &req, &mut out);
@@ -762,8 +553,8 @@ impl Service for DigiPool {
     fn on_start(&mut self, sim: &mut Sim) {
         self.started = true;
         self.conn.connect(sim, self.will.clone());
-        for id in self.slot_order() {
-            self.start_cell(sim, id);
+        for i in 0..self.cells.len() {
+            self.start_cell(sim, i);
         }
     }
 
@@ -791,156 +582,16 @@ impl Service for DigiPool {
             }
             self.run_tick_group(sim, token);
         } else if token & ACTUATION_TOKEN_TAG != 0 {
-            let Some((id, updates)) = self.pending_actuations.remove(&token) else {
+            let Some((i, updates)) = self.pending_actuations.remove(&token) else {
                 return;
             };
-            if let Some(cell) = self.arena.get_mut(id) {
-                let mut out = Outbox::new();
-                cell.apply_intents(sim.now(), updates, &mut out);
-                self.flush(sim, out);
-            }
+            let mut out = Outbox::new();
+            self.cells[i].apply_intents(sim.now(), updates, &mut out);
+            self.flush(sim, out);
         } else if token & RESPONSE_TOKEN_TAG != 0 {
             if let Some((peer, bytes)) = self.pending_responses.remove(&token) {
                 self.http.send(sim, peer, bytes);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod arena_tests {
-    use super::*;
-
-    #[test]
-    fn insert_get_remove_roundtrip() {
-        let mut a: Arena<String> = Arena::new();
-        let x = a.insert("x".into());
-        let y = a.insert("y".into());
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.get(x).map(String::as_str), Some("x"));
-        assert_eq!(a.get(y).map(String::as_str), Some("y"));
-        assert_eq!(a.remove(x), Some("x".into()));
-        assert_eq!(a.len(), 1);
-        assert!(a.get(x).is_none());
-        assert_eq!(a.remove(x), None, "double remove is stale");
-    }
-
-    #[test]
-    fn stale_id_never_reaches_recycled_slot() {
-        let mut a: Arena<u32> = Arena::new();
-        let first = a.insert(1);
-        a.remove(first);
-        let second = a.insert(2);
-        // LIFO recycling: same slot, new generation.
-        assert_eq!(second.slot(), first.slot());
-        assert_ne!(second.generation(), first.generation());
-        assert!(!a.contains(first));
-        assert!(a.get(first).is_none());
-        assert!(a.get_mut(first).is_none());
-        assert_eq!(a.remove(first), None);
-        assert_eq!(a.get(second), Some(&2));
-    }
-
-    #[test]
-    fn iter_walks_slots_in_order() {
-        let mut a: Arena<u32> = Arena::new();
-        let ids: Vec<DigiId> = (0..5).map(|i| a.insert(i)).collect();
-        a.remove(ids[2]);
-        let seen: Vec<(u32, u32)> = a.iter().map(|(id, &v)| (id.slot(), v)).collect();
-        assert_eq!(seen, vec![(0, 0), (1, 1), (3, 3), (4, 4)]);
-    }
-
-    #[test]
-    fn slabs_grow_without_moving_slots() {
-        let mut a: Arena<usize> = Arena::new();
-        let ids: Vec<DigiId> = (0..SLAB_CAP + 10).map(|i| a.insert(i)).collect();
-        assert_eq!(a.capacity(), SLAB_CAP + 10);
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(a.get(*id), Some(&i), "slot {} moved", id.slot());
-        }
-        assert_eq!(ids[SLAB_CAP].slot() as usize, SLAB_CAP, "second slab starts at SLAB_CAP");
-    }
-
-    /// Tiny deterministic PRNG driving one interleaving round;
-    /// `arena_recycling_holds_under_any_interleaving` below widens the
-    /// input space over seeded rounds.
-    struct Lcg(u64);
-    impl Lcg {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            self.0 >> 11
-        }
-    }
-
-    /// Reference-model check: interleaved spawn/kill/restart against a
-    /// plain map keyed by raw id. No stale id may ever dereference, and a
-    /// "restart" (kill + respawn) must land in the most recently freed
-    /// slab slot (LIFO), exactly where checkpoint restore expects it.
-    fn spawn_kill_restart_round(seed: u64, steps: u32) {
-        let mut a: Arena<u64> = Arena::new();
-        let mut rng = Lcg(seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1));
-        let mut live: Vec<(DigiId, u64)> = Vec::new();
-        let mut dead: Vec<DigiId> = Vec::new();
-        let mut stamp = 0u64;
-        for _ in 0..steps {
-            match rng.next() % 4 {
-                0 | 1 => {
-                    // spawn
-                    stamp += 1;
-                    let expected_slot = a
-                        .free
-                        .last()
-                        .copied()
-                        .unwrap_or(a.next_slot);
-                    let id = a.insert(stamp);
-                    assert_eq!(id.slot(), expected_slot, "LIFO slot reuse violated");
-                    live.push((id, stamp));
-                }
-                2 if !live.is_empty() => {
-                    // kill
-                    let i = (rng.next() as usize) % live.len();
-                    let (id, v) = live.swap_remove(i);
-                    assert_eq!(a.remove(id), Some(v));
-                    dead.push(id);
-                }
-                _ if !live.is_empty() => {
-                    // restart: kill then respawn; must land in the slot
-                    // just freed (how checkpoint restore finds its row)
-                    let i = (rng.next() as usize) % live.len();
-                    let (id, v) = live.swap_remove(i);
-                    assert_eq!(a.remove(id), Some(v));
-                    stamp += 1;
-                    let re = a.insert(stamp);
-                    assert_eq!(re.slot(), id.slot(), "restart must reuse the freed slot");
-                    assert_ne!(re.generation(), id.generation());
-                    dead.push(id);
-                    live.push((re, stamp));
-                }
-                _ => {}
-            }
-            // Invariants after every step: every live id resolves to its
-            // value, every dead id is stale.
-            for &(id, v) in &live {
-                assert_eq!(a.get(id), Some(&v), "live id failed to resolve");
-            }
-            for &id in &dead {
-                assert!(a.get(id).is_none(), "stale id dereferenced");
-            }
-            assert_eq!(a.len(), live.len());
-        }
-    }
-
-    #[test]
-    fn randomized_spawn_kill_restart_interleavings() {
-        for seed in 0..8 {
-            spawn_kill_restart_round(seed, 600);
-        }
-    }
-
-    #[test]
-    fn arena_recycling_holds_under_any_interleaving() {
-        digibox_net::for_each_seed(256, |rng| {
-            spawn_kill_restart_round(rng.next_u64(), rng.range_u64(1, 400) as u32)
-        });
     }
 }

@@ -22,22 +22,20 @@
 //!   build or run yields a per-seed [`SeedError`] instead of poisoning the
 //!   whole sweep.
 //!
-//! Scheduling is work-stealing: the seed list is sharded into contiguous
-//! per-worker deques; a worker pops from the front of its own deque and,
-//! when empty, steals from the back of the fullest other deque. Seeds with
-//! skewed runtimes (a chaos seed that triggers many restarts can cost
-//! several times the median) therefore rebalance instead of serializing
-//! behind the slowest static chunk.
+//! Scheduling is one shared cursor over the seed list: a worker that
+//! finishes a seed claims the next unclaimed index. Seeds with skewed
+//! runtimes (a chaos seed that triggers many restarts can cost several
+//! times the median) therefore spread over the workers instead of
+//! serializing behind the slowest static chunk.
 //!
 //! This module is deliberately std-only and self-contained (no other core
 //! modules), so the engine can be reasoned about apart from the testbed;
 //! `tests/sweep_determinism.rs` checks jobs=1 vs jobs=N byte-identity on
 //! real campaigns.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Why one seed of a sweep produced no result.
@@ -75,8 +73,6 @@ pub struct SweepOutcome<T> {
     pub runs: Vec<SeedRun<T>>,
     /// Worker threads actually used.
     pub jobs: usize,
-    /// Seeds executed by a worker other than the one they were sharded to.
-    pub steals: u64,
 }
 
 impl<T> SweepOutcome<T> {
@@ -100,38 +96,6 @@ pub fn resolve_jobs(jobs: usize) -> usize {
         jobs
     } else {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    }
-}
-
-/// One work item: (result slot, seed).
-type Item = (usize, u64);
-
-struct Shard {
-    queue: Mutex<VecDeque<Item>>,
-}
-
-/// Pop the next item for worker `w`: own front first, then steal from the
-/// back of the fullest other shard.
-fn claim(shards: &[Shard], w: usize, steals: &AtomicU64) -> Option<Item> {
-    if let Some(item) = lock(&shards[w].queue).pop_front() {
-        return Some(item);
-    }
-    loop {
-        // Pick the victim with the most remaining work (len is a snapshot;
-        // good enough — a stale victim just yields None and we rescan).
-        let victim = shards
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != w)
-            .map(|(i, s)| (lock(&s.queue).len(), i))
-            .max()
-            .filter(|(len, _)| *len > 0);
-        let (_, v) = victim?;
-        if let Some(item) = lock(&shards[v].queue).pop_back() {
-            steals.fetch_add(1, Ordering::Relaxed);
-            return Some(item);
-        }
-        // Lost the race for that victim's last item — rescan.
     }
 }
 
@@ -182,34 +146,25 @@ where
             .iter()
             .map(|&seed| SeedRun { seed, result: run_one(&task, seed) })
             .collect();
-        return SweepOutcome { runs, jobs: 1, steals: 0 };
+        return SweepOutcome { runs, jobs: 1 };
     }
 
-    // Contiguous sharding (like chunked iteration) so neighbouring seeds —
-    // which tend to cost alike — start on the same worker; stealing
-    // handles the skew.
-    let chunk = seeds.len().div_ceil(jobs);
-    let shards: Vec<Shard> = seeds
-        .chunks(chunk)
-        .enumerate()
-        .map(|(c, ss)| Shard {
-            queue: Mutex::new(
-                ss.iter().enumerate().map(|(i, &s)| (c * chunk + i, s)).collect(),
-            ),
-        })
-        .collect();
+    // The cursor publishes nothing but the index it hands out (each slot
+    // has its own lock), so `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<SeedRun<T>>>> =
         seeds.iter().map(|_| Mutex::new(None)).collect();
-    let steals = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
-        for w in 0..shards.len() {
-            let (shards, slots, task, steals) = (&shards, &slots, &task, &steals);
-            scope.spawn(move || {
-                while let Some((slot, seed)) = claim(shards, w, steals) {
-                    let run = SeedRun { seed, result: run_one(task, seed) };
-                    *lock(&slots[slot]) = Some(run);
-                }
+        for _ in 0..jobs {
+            let (next, slots, task) = (&next, &slots, &task);
+            scope.spawn(move || loop {
+                let slot = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&seed) = seeds.get(slot) else {
+                    break;
+                };
+                let run = SeedRun { seed, result: run_one(task, seed) };
+                *lock(&slots[slot]) = Some(run);
             });
         }
     });
@@ -222,7 +177,7 @@ where
                 .expect("every claimed slot is filled before its worker exits")
         })
         .collect();
-    SweepOutcome { runs, jobs, steals: steals.load(Ordering::Relaxed) }
+    SweepOutcome { runs, jobs }
 }
 
 /// Infallible convenience wrapper with the bench crate's historical
@@ -246,7 +201,7 @@ where
 #[cfg(test)]
 mod sweep_tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::Condvar;
     use std::time::Duration;
 
     /// A cheap deterministic per-seed "simulation".
@@ -310,18 +265,29 @@ mod sweep_tests {
     }
 
     #[test]
-    fn skewed_work_is_stolen() {
-        // First shard gets all the slow seeds; the other worker must come
-        // steal or the sweep serializes.
+    fn slow_seeds_spread_over_workers() {
+        // Seeds 0–3 are slow: each holds its worker until a slow seed runs
+        // on a second thread (bounded, so a scheduler that serializes
+        // them fails instead of hanging). A static split would put all
+        // four on one thread.
+        let threads = Mutex::new(Vec::new());
+        let spread = Condvar::new();
         let seeds: Vec<u64> = (0..8).collect();
         let out = sweep(&seeds, 2, |s| {
             if s < 4 {
-                std::thread::sleep(Duration::from_millis(10));
+                let mut seen = lock(&threads);
+                let me = std::thread::current().id();
+                if !seen.contains(&me) {
+                    seen.push(me);
+                    spread.notify_all();
+                }
+                let wait = Duration::from_secs(10);
+                drop(spread.wait_timeout_while(seen, wait, |seen| seen.len() < 2));
             }
             Ok::<u64, String>(s)
         });
         assert_eq!(out.jobs, 2);
-        assert!(out.steals > 0, "fast worker should have stolen from the slow shard");
+        assert_eq!(lock(&threads).len(), 2, "slow seeds must run on two threads");
         let got: Vec<u64> = out.runs.iter().map(|r| r.result.clone().unwrap()).collect();
         assert_eq!(got, seeds);
     }

@@ -465,11 +465,6 @@ impl Testbed {
         self.digis.get(name).map(|e| e.handle.borrow().broker_losses())
     }
 
-    /// Crashed digis still waiting out their restart backoff.
-    pub fn pending_restart_count(&self) -> usize {
-        self.pending_restarts.len()
-    }
-
     /// Snapshot the observability registry for this testbed (`dbox stats`,
     /// `dbox profile`, chaos scorecards). Late-bound gauges — values that
     /// only make sense at observation time, like population counts — are
@@ -966,30 +961,6 @@ impl Testbed {
         self.poll_properties();
     }
 
-    /// Drain the event queue completely. NOTE: do not combine with
-    /// `broker_session_timeout` — an armed keep-alive sweep re-arms
-    /// forever, so the queue never drains; drive with `run_for` instead.
-    pub fn run_to_quiescence(&mut self) {
-        loop {
-            self.sim.run_to_completion();
-            if self.pending_restarts.is_empty() && self.pending_broker_restart.is_none() {
-                break;
-            }
-            let t = self
-                .pending_restarts
-                .iter()
-                .map(|r| r.due)
-                .chain(self.pending_broker_restart)
-                .min()
-                .expect("nonempty");
-            self.sim.run_until(t);
-            self.apply_broker_restart();
-            self.apply_due_restarts();
-        }
-        self.poll_storm();
-        self.poll_properties();
-    }
-
     fn apply_due_restarts(&mut self) {
         let now = self.sim.now();
         let due: Vec<PendingRestart> = {
@@ -1061,7 +1032,7 @@ impl Testbed {
     }
 
     /// Restore a pooled digi's fields from its last checkpoint (taken by
-    /// [`Testbed::checkpoint_all`]). The cell keeps its slab slot and tick
+    /// [`Testbed::checkpoint_all`]). The cell keeps its place and tick
     /// group. Returns `false` when the digi has no checkpoint or is not
     /// hosted in any pool.
     pub fn restore_pooled(&mut self, name: &str) -> bool {

@@ -34,24 +34,24 @@ pub(crate) use digi_identity;
 
 /// Register the 20 mocks.
 pub fn register(catalog: &mut Catalog) {
-    crate::must_register(catalog, || Box::new(Occupancy::default()));
-    crate::must_register(catalog, || Box::new(Underdesk::default()));
-    crate::must_register(catalog, || Box::new(MotionCamera::default()));
-    crate::must_register(catalog, || Box::new(Lamp::default()));
-    crate::must_register(catalog, || Box::new(LightLevel::default()));
-    crate::must_register(catalog, || Box::new(Fan::default()));
-    crate::must_register(catalog, || Box::new(Hvac::default()));
-    crate::must_register(catalog, || Box::new(Thermostat::default()));
-    crate::must_register(catalog, || Box::new(Temperature::default()));
-    crate::must_register(catalog, || Box::new(Humidity::default()));
-    crate::must_register(catalog, || Box::new(Co2::default()));
-    crate::must_register(catalog, || Box::new(AirQuality::default()));
-    crate::must_register(catalog, || Box::new(SmartPlug::default()));
-    crate::must_register(catalog, || Box::new(SmartMeter::default()));
-    crate::must_register(catalog, || Box::new(DoorLock::default()));
-    crate::must_register(catalog, || Box::new(Window::default()));
-    crate::must_register(catalog, || Box::new(Leak::default()));
-    crate::must_register(catalog, || Box::new(Speaker::default()));
-    crate::must_register(catalog, || Box::new(GpsTracker::default()));
-    crate::must_register(catalog, || Box::new(CargoCondition::default()));
+    crate::must_register(catalog, || Box::new(Occupancy));
+    crate::must_register(catalog, || Box::new(Underdesk));
+    crate::must_register(catalog, || Box::new(MotionCamera));
+    crate::must_register(catalog, || Box::new(Lamp));
+    crate::must_register(catalog, || Box::new(LightLevel));
+    crate::must_register(catalog, || Box::new(Fan));
+    crate::must_register(catalog, || Box::new(Hvac));
+    crate::must_register(catalog, || Box::new(Thermostat));
+    crate::must_register(catalog, || Box::new(Temperature));
+    crate::must_register(catalog, || Box::new(Humidity));
+    crate::must_register(catalog, || Box::new(Co2));
+    crate::must_register(catalog, || Box::new(AirQuality));
+    crate::must_register(catalog, || Box::new(SmartPlug));
+    crate::must_register(catalog, || Box::new(SmartMeter));
+    crate::must_register(catalog, || Box::new(DoorLock));
+    crate::must_register(catalog, || Box::new(Window));
+    crate::must_register(catalog, || Box::new(Leak));
+    crate::must_register(catalog, || Box::new(Speaker));
+    crate::must_register(catalog, || Box::new(GpsTracker));
+    crate::must_register(catalog, || Box::new(CargoCondition));
 }

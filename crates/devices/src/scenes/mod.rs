@@ -20,24 +20,24 @@ pub(crate) use super::mocks::digi_identity;
 
 /// Register the 18 scenes.
 pub fn register(catalog: &mut Catalog) {
-    crate::must_register(catalog, || Box::new(Room::default()));
-    crate::must_register(catalog, || Box::new(Kitchen::default()));
-    crate::must_register(catalog, || Box::new(OpenOffice::default()));
-    crate::must_register(catalog, || Box::new(Lobby::default()));
-    crate::must_register(catalog, || Box::new(Classroom::default()));
-    crate::must_register(catalog, || Box::new(Bedroom::default()));
-    crate::must_register(catalog, || Box::new(Home::default()));
-    crate::must_register(catalog, || Box::new(Building::default()));
-    crate::must_register(catalog, || Box::new(Campus::default()));
-    crate::must_register(catalog, || Box::new(RetailStore::default()));
-    crate::must_register(catalog, || Box::new(CheckoutZone::default()));
-    crate::must_register(catalog, || Box::new(Warehouse::default()));
-    crate::must_register(catalog, || Box::new(ColdChainTruck::default()));
-    crate::must_register(catalog, || Box::new(SupplyChainRoute::default()));
-    crate::must_register(catalog, || Box::new(StreetBlock::default()));
-    crate::must_register(catalog, || Box::new(ParkingLot::default()));
-    crate::must_register(catalog, || Box::new(FactoryCell::default()));
-    crate::must_register(catalog, || Box::new(Greenhouse::default()));
+    crate::must_register(catalog, || Box::new(Room));
+    crate::must_register(catalog, || Box::new(Kitchen));
+    crate::must_register(catalog, || Box::new(OpenOffice));
+    crate::must_register(catalog, || Box::new(Lobby));
+    crate::must_register(catalog, || Box::new(Classroom));
+    crate::must_register(catalog, || Box::new(Bedroom));
+    crate::must_register(catalog, || Box::new(Home));
+    crate::must_register(catalog, || Box::new(Building));
+    crate::must_register(catalog, || Box::new(Campus));
+    crate::must_register(catalog, || Box::new(RetailStore));
+    crate::must_register(catalog, || Box::new(CheckoutZone));
+    crate::must_register(catalog, || Box::new(Warehouse));
+    crate::must_register(catalog, || Box::new(ColdChainTruck));
+    crate::must_register(catalog, || Box::new(SupplyChainRoute));
+    crate::must_register(catalog, || Box::new(StreetBlock));
+    crate::must_register(catalog, || Box::new(ParkingLot));
+    crate::must_register(catalog, || Box::new(FactoryCell));
+    crate::must_register(catalog, || Box::new(Greenhouse));
 }
 
 /// Shared helper: write `triggered` on every attached occupancy-family

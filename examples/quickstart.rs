@@ -1,8 +1,10 @@
 //! Quickstart — the paper's Fig. 1 workflow in ~60 lines:
 //!
-//! 1. create a testbed, 2. `dbox run` a mock lamp, occupancy sensor and a
-//! room scene, 3. attach them, 4. interact (`dbox edit`), 5. inspect
-//! (`dbox check`) and read the trace.
+//! 1. create a testbed,
+//! 2. `dbox run` a mock lamp, occupancy sensor and a room scene,
+//! 3. attach them,
+//! 4. interact (`dbox edit`),
+//! 5. inspect (`dbox check`) and read the trace.
 //!
 //! Run with: `cargo run --example quickstart`
 

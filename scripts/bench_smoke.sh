@@ -3,7 +3,7 @@
 # sweep, written to BENCH_substrate.json at the repo root, the E11
 # sweep-scaling row (jobs=1 vs jobs=all), written to BENCH_sweep.json,
 # the E12 observability-overhead row (metrics on vs off), written to
-# BENCH_obs.json, the E13 max_digis_per_sec scaling row (arena pools
+# BENCH_obs.json, the E13 max_digis_per_sec scaling row (shared pools
 # vs per-digi timers at 10k/100k/1M), written to BENCH_scale.json, and
 # the E14 islands_speedup row (one sim space-partitioned across island
 # kernels, 1 worker vs one per core), written to BENCH_islands.json.

@@ -58,7 +58,7 @@ fn documented_verbs_exist() {
     let verbs = usage_verbs();
     for line in doc.lines() {
         let Some(rest) = line.strip_prefix("### `dbox ") else { continue };
-        let verb = rest.split(|c: char| c == ' ' || c == '`').next().unwrap_or_default();
+        let verb = rest.split([' ', '`']).next().unwrap_or_default();
         assert!(
             verbs.contains(&verb.to_string()),
             "docs/CLI.md documents unknown verb {verb:?}"

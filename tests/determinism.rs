@@ -4,7 +4,7 @@
 //! run twice under one seed must produce byte-identical traces and model
 //! states; a different seed must not.
 //!
-//! The pooled tests extend the same contract to the arena storage layer:
+//! The pooled tests extend the same contract to the pool's storage:
 //! a 10k-digi pooled testbed must digest byte-identically across runs
 //! (tick groups and kernel-coalesced deliveries must not perturb
 //! observable order), and across jobs=1 vs jobs=N sweeps (per-thread
@@ -72,7 +72,7 @@ fn different_seed_diverges() {
     assert_ne!(trace_c, trace_a, "different seeds must produce different traces");
 }
 
-/// Build a pooled testbed (`digis` Occupancy mocks in one arena pool),
+/// Build a pooled testbed (`digis` Occupancy mocks in one shared pool),
 /// run it, and digest the trace plus every pooled digi's fields, in fixed
 /// name order.
 fn pooled_digests(seed: u64, digis: usize, secs: u64) -> (String, String) {
@@ -107,7 +107,7 @@ fn pooled_10k_is_bit_identical_across_runs() {
 #[test]
 fn pooled_sweep_digests_match_at_any_jobs_count() {
     // Per-thread intern tables must never leak into digests: the same
-    // seeds swept serially and work-stealing across threads (each worker
+    // seeds swept serially and in parallel across threads (each worker
     // interning paths in a different order) must merge to byte-identical
     // digest vectors.
     let seeds: Vec<u64> = (1..=4).collect();

@@ -7,7 +7,7 @@
 //! window healing between barriers cannot reorder delivery relative to
 //! a committed lookahead horizon.
 
-use digibox_core::islands::{self, IslandEnv, IslandSpec, IslandsConfig};
+use digibox_core::islands::{self, IslandEnv, IslandSpec};
 use digibox_core::{Testbed, TestbedConfig};
 use digibox_devices::full_catalog;
 use digibox_net::chaos::{FaultKind, FaultWindow};
@@ -43,11 +43,10 @@ fn pooled_specs() -> Vec<IslandSpec> {
 /// digest tuple: final clock, digi count, obs snapshot JSON, and the
 /// checkpoint hashes (taken after a fresh `checkpoint_all`).
 fn digests(workers: usize, faults: &[FaultWindow]) -> (Vec<String>, u64, u64) {
-    let config = IslandsConfig { workers, ..IslandsConfig::default() };
     let run = islands::run(
         7,
         pooled_specs(),
-        &config,
+        workers,
         SimDuration::from_secs(5),
         faults,
         |island, tb, t0| {
@@ -136,7 +135,7 @@ fn panicking_island_fails_the_run_by_name_without_poisoning_others() {
     let err = islands::run(
         7,
         specs,
-        &IslandsConfig { workers: 4, ..IslandsConfig::default() },
+        4,
         SimDuration::from_secs(2),
         &[],
         |_, tb, _| tb.now().as_nanos(),
