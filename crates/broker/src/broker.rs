@@ -3,6 +3,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap}; // hash maps for keyed lookup; `dbox audit` (DH0002) checks every iteration site
+use std::ops::Bound;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -11,8 +12,8 @@ use digibox_obs as obs;
 use digibox_net::transport::{ReliableEndpoint, TransportEvent};
 use digibox_net::{Addr, Datagram, Service, ServiceHandle, Sim, SimDuration, SimTime, TimerToken};
 
-use crate::packet::{Packet, QoS};
-use crate::topic::{parse_share, validate_filter, validate_topic, TopicTrie};
+use crate::packet::{Packet, PublishRef, QoS};
+use crate::topic::{literal_prefix, parse_share, validate_filter, validate_topic, TopicTrie};
 
 /// Application publishes between `$SYS` refreshes (change-driven rather
 /// than timer-driven so a quiesced testbed's event queue can drain).
@@ -114,17 +115,6 @@ struct SubEntry {
     group: Option<Rc<str>>,
 }
 
-/// Where a broker→client QoS 1/2 delivery sits in its handshake.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum OutState {
-    /// QoS 1: waiting for PUBACK.
-    AwaitPubAck,
-    /// QoS 2: waiting for PUBREC.
-    AwaitPubRec,
-    /// QoS 2: PUBREL sent, waiting for PUBCOMP.
-    AwaitPubComp,
-}
-
 /// An in-flight broker→client publish, kept until the handshake completes
 /// so a resumed session can be caught up with DUP retransmits.
 #[derive(Debug, Clone)]
@@ -133,7 +123,9 @@ struct OutboundPub {
     payload: Bytes,
     qos: QoS,
     retain: bool,
-    state: OutState,
+    /// QoS 2 only: PUBREC came back and PUBREL went out, so PUBCOMP is
+    /// awaited. Otherwise the publish awaits PUBACK (QoS 1) or PUBREC.
+    released: bool,
 }
 
 /// Durable state of one persistent (non-clean) session, as stashed across
@@ -231,11 +223,14 @@ fn snapshot_of(s: &Session) -> SessionSnapshot {
                 payload: ob.payload.clone(),
                 qos: ob.qos,
                 retain: ob.retain,
-                released: ob.state == OutState::AwaitPubComp,
+                released: ob.released,
             })
             .collect(),
     }
 }
+
+/// Subscribers with their granted QoS.
+type Subscribers = Vec<(Addr, QoS)>;
 
 /// A topic's fully resolved delivery lists: direct subscribers (each gets
 /// a copy) and `$share` groups (each group gets exactly one copy,
@@ -244,10 +239,18 @@ fn snapshot_of(s: &Session) -> SessionSnapshot {
 #[derive(Debug)]
 struct RouteSet {
     /// Deduped best-QoS direct subscribers, sorted by address.
-    direct: Vec<(Addr, QoS)>,
+    direct: Subscribers,
     /// Share groups sorted by name; members deduped best-QoS, sorted by
     /// address.
-    shared: Vec<(Rc<str>, Vec<(Addr, QoS)>)>,
+    shared: Vec<(Rc<str>, Subscribers)>,
+}
+
+/// Keep one `(addr, qos)` per address, at its highest qos, sorted by
+/// address.
+fn best_per_addr(mut subs: Subscribers) -> Subscribers {
+    subs.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+    subs.dedup_by_key(|s| s.0);
+    subs
 }
 
 /// The MQTT broker, bound at one address of the simulated network.
@@ -394,7 +397,9 @@ impl Broker {
     /// Application-level retained messages (excludes the broker's own
     /// `$SYS` entries).
     pub fn retained_count(&self) -> usize {
-        self.retained.keys().filter(|t| !t.starts_with("$SYS")).count()
+        // The keys starting with "$SYS" are exactly those in ["$SYS", "$SYT").
+        let sys = self.retained.range::<str, _>((Bound::Included("$SYS"), Bound::Excluded("$SYT")));
+        self.retained.len() - sys.count()
     }
 
     fn next_pid(&mut self) -> u16 {
@@ -404,7 +409,7 @@ impl Broker {
     }
 
     fn send_packet(&mut self, sim: &mut Sim, to: Addr, pkt: &Packet) {
-        self.ep.send(sim, to, pkt.encode());
+        self.ep.send_with(sim, to, pkt.encoded_len(), |b| pkt.encode_into(b));
     }
 
     fn handle_packet(&mut self, sim: &mut Sim, from: Addr, pkt: Packet) {
@@ -457,13 +462,7 @@ impl Broker {
                                     payload: ob.payload,
                                     qos: ob.qos,
                                     retain: ob.retain,
-                                    state: if ob.released {
-                                        OutState::AwaitPubComp
-                                    } else if ob.qos == QoS::AtLeastOnce {
-                                        OutState::AwaitPubAck
-                                    } else {
-                                        OutState::AwaitPubRec
-                                    },
+                                    released: ob.released,
                                 },
                             )
                         })
@@ -511,7 +510,7 @@ impl Broker {
                         let first = self
                             .sessions
                             .get_mut(&from)
-                            .map_or(true, |s| s.inbound_rec.insert(pid));
+                            .is_none_or(|s| s.inbound_rec.insert(pid));
                         self.send_packet(sim, from, &Packet::PubRec { packet_id: pid });
                         if !first {
                             self.stats.qos2_dup_dropped += 1;
@@ -529,7 +528,7 @@ impl Broker {
                     }
                 }
                 self.route(sim, &topic, qos, payload, false);
-                if self.stats.publishes_in % SYS_EVERY_PUBLISHES == 0 {
+                if self.stats.publishes_in.is_multiple_of(SYS_EVERY_PUBLISHES) {
                     self.publish_sys(sim);
                 }
             }
@@ -548,11 +547,18 @@ impl Broker {
                 }
                 // Register before SUBACK so routing is live immediately.
                 // A filter the session already holds replaces its granted
-                // QoS (spec §3.8.4) — both in the trie and the mirror.
+                // QoS (spec §3.8.4) — both in the trie and the mirror. The
+                // mirror only holds filters the trie held for this
+                // subscriber, so a fresh grant skips searching it.
                 for (filter, qos) in &granted {
-                    self.insert_sub(from, filter, *qos);
+                    let replaced = self.insert_sub(from, filter, *qos);
                     if let Some(s) = self.sessions.get_mut(&from) {
-                        match s.filters.iter_mut().find(|(f, _)| f == filter) {
+                        let held = if replaced > 0 {
+                            s.filters.iter_mut().find(|(f, _)| f == filter)
+                        } else {
+                            None
+                        };
+                        match held {
                             Some(held) => held.1 = *qos,
                             None => s.filters.push((filter.clone(), *qos)),
                         }
@@ -565,19 +571,27 @@ impl Broker {
                 // one group member is undefined under round-robin, so
                 // shared subscriptions receive live traffic only (the
                 // MQTT 5 rule, adopted here for 3.1.1).
-                // Topic and payload clones here are refcount bumps on
-                // `Rc<str>`/`Bytes` — replay copies no message data.
+                // Each filter scans only the retained topics that start
+                // with its literal prefix; collecting into a map replays
+                // each topic once, in topic order. Topic and payload
+                // clones here are refcount bumps on `Rc<str>`/`Bytes` —
+                // replay copies no message data.
                 let plain: Vec<&(String, QoS)> =
                     granted.iter().filter(|(f, _)| parse_share(f).is_none()).collect();
-                let matching: Vec<(Rc<str>, QoS, Bytes)> = self
-                    .retained
-                    .iter()
-                    .filter(|(topic, _)| {
-                        plain.iter().any(|(f, _)| crate::topic::matches(f, topic))
-                    })
-                    .map(|(t, (q, p))| (Rc::clone(t), *q, p.clone()))
-                    .collect();
-                for (topic, pub_qos, payload) in matching {
+                let mut matching: BTreeMap<Rc<str>, (QoS, Bytes)> = BTreeMap::new();
+                for (filter, _) in &plain {
+                    let prefix = literal_prefix(filter);
+                    let from_prefix = (Bound::Included(prefix), Bound::Unbounded);
+                    for (topic, (q, p)) in self.retained.range::<str, _>(from_prefix) {
+                        if !topic.starts_with(prefix) {
+                            break;
+                        }
+                        if crate::topic::matches(filter, topic) {
+                            matching.entry(Rc::clone(topic)).or_insert_with(|| (*q, p.clone()));
+                        }
+                    }
+                }
+                for (topic, (pub_qos, payload)) in matching {
                     let sub_qos = plain
                         .iter()
                         .filter(|(f, _)| crate::topic::matches(f, &topic))
@@ -587,7 +601,7 @@ impl Broker {
                     let qos = pub_qos.min(sub_qos);
                     self.stats.retained_served += 1;
                     obs::inc(self.obs.retained_served);
-                    self.deliver(sim, from, &topic, qos, payload, true);
+                    self.deliver(sim, from, &topic, qos, &payload, true);
                 }
             }
             Packet::Unsubscribe { packet_id, filters } => {
@@ -611,7 +625,7 @@ impl Broker {
                 // in-flight copy survives (as "released") until PUBCOMP.
                 if let Some(s) = self.sessions.get_mut(&from) {
                     if let Some(ob) = s.outbound.get_mut(&packet_id) {
-                        ob.state = OutState::AwaitPubComp;
+                        ob.released = true;
                     }
                 }
                 self.send_packet(sim, from, &Packet::PubRel { packet_id });
@@ -651,14 +665,14 @@ impl Broker {
     /// grant the same subscriber holds under it (spec §3.8.4 — a blind
     /// push here is exactly the double-delivery bug). `$share/<group>/<f>`
     /// registers under the inner filter `<f>` with the group recorded on
-    /// the entry.
-    fn insert_sub(&mut self, addr: Addr, filter: &str, qos: QoS) {
+    /// the entry. Returns how many earlier grants were replaced.
+    fn insert_sub(&mut self, addr: Addr, filter: &str, qos: QoS) -> usize {
         let (group, inner) = match parse_share(filter) {
             Some((g, inner)) => (Some(Rc::<str>::from(g)), inner),
             None => (None, filter),
         };
         let entry = SubEntry { addr, qos, group: group.clone() };
-        self.subs.replace_where(inner, entry, |e| e.addr == addr && e.group == group);
+        self.subs.replace_where(inner, entry, |e| e.addr == addr && e.group == group)
     }
 
     /// Remove `addr`'s subscription entry for `filter` (share-aware).
@@ -699,27 +713,17 @@ impl Broker {
         // A session subscribed via several matching filters gets one copy
         // at the highest granted qos; share-group members are collected
         // per group the same way.
-        let mut best: HashMap<Addr, QoS> = HashMap::new();
-        let mut groups: BTreeMap<Rc<str>, HashMap<Addr, QoS>> = BTreeMap::new();
+        let mut direct = Vec::new();
+        let mut groups: BTreeMap<Rc<str>, Subscribers> = BTreeMap::new();
         for entry in self.subs.lookup(topic) {
             let bucket = match &entry.group {
-                None => &mut best,
+                None => &mut direct,
                 Some(g) => groups.entry(Rc::clone(g)).or_default(),
             };
-            let e = bucket.entry(entry.addr).or_insert(entry.qos);
-            *e = (*e).max(entry.qos);
+            bucket.push((entry.addr, entry.qos));
         }
-        let mut direct: Vec<(Addr, QoS)> = best.into_iter().collect();
-        direct.sort_unstable_by_key(|(a, _)| *a);
-        let shared: Vec<(Rc<str>, Vec<(Addr, QoS)>)> = groups
-            .into_iter()
-            .map(|(g, members)| {
-                let mut m: Vec<(Addr, QoS)> = members.into_iter().collect();
-                m.sort_unstable_by_key(|(a, _)| *a);
-                (g, m)
-            })
-            .collect();
-        let routes = Rc::new(RouteSet { direct, shared });
+        let shared = groups.into_iter().map(|(g, members)| (g, best_per_addr(members))).collect();
+        let routes = Rc::new(RouteSet { direct: best_per_addr(direct), shared });
         self.route_cache.insert(id, routes.clone());
         routes
     }
@@ -767,7 +771,7 @@ impl Broker {
         obs::observe(self.obs.fanout, (routes.direct.len() + routes.shared.len()) as u64);
         for &(addr, sub_qos) in &routes.direct {
             let qos = pub_qos.min(sub_qos);
-            self.deliver(sim, addr, topic, qos, payload.clone(), retain);
+            self.deliver(sim, addr, topic, qos, &payload, retain);
         }
         for (group, members) in &routes.shared {
             if members.is_empty() {
@@ -782,7 +786,7 @@ impl Broker {
             let (addr, sub_qos) = members[idx];
             self.stats.shared_deliveries += 1;
             obs::inc(self.obs.shared_delivery);
-            self.deliver(sim, addr, topic, pub_qos.min(sub_qos), payload.clone(), retain);
+            self.deliver(sim, addr, topic, pub_qos.min(sub_qos), &payload, retain);
         }
     }
 
@@ -792,13 +796,16 @@ impl Broker {
         to: Addr,
         topic: &str,
         qos: QoS,
-        payload: Bytes,
+        payload: &Bytes,
         retain: bool,
     ) {
         let packet_id = match qos {
             QoS::AtMostOnce => None,
             QoS::AtLeastOnce | QoS::ExactlyOnce => Some(self.next_pid()),
         };
+        self.stats.publishes_out += 1;
+        let publish = PublishRef { dup: false, qos, retain, topic, packet_id, payload };
+        self.ep.send_with(sim, to, publish.encoded_len(), |b| publish.encode_into(b));
         if let Some(pid) = packet_id {
             // Track the in-flight delivery so a resumed session can be
             // caught up with a DUP retransmit.
@@ -810,25 +817,11 @@ impl Broker {
                         payload: payload.clone(),
                         qos,
                         retain,
-                        state: if qos == QoS::AtLeastOnce {
-                            OutState::AwaitPubAck
-                        } else {
-                            OutState::AwaitPubRec
-                        },
+                        released: false,
                     },
                 );
             }
         }
-        self.stats.publishes_out += 1;
-        let pkt = Packet::Publish {
-            dup: false,
-            qos,
-            retain,
-            topic: topic.to_string(),
-            packet_id,
-            payload,
-        };
-        self.send_packet(sim, to, &pkt);
     }
 
     /// Catch a freshly resumed session up on its in-flight deliveries:
@@ -839,22 +832,19 @@ impl Broker {
         let resend: Vec<(u16, OutboundPub)> =
             s.outbound.iter().map(|(&pid, ob)| (pid, ob.clone())).collect();
         for (pid, ob) in resend {
-            match ob.state {
-                OutState::AwaitPubAck | OutState::AwaitPubRec => {
-                    self.stats.publishes_out += 1;
-                    let pkt = Packet::Publish {
-                        dup: true,
-                        qos: ob.qos,
-                        retain: ob.retain,
-                        topic: ob.topic,
-                        packet_id: Some(pid),
-                        payload: ob.payload,
-                    };
-                    self.send_packet(sim, to, &pkt);
-                }
-                OutState::AwaitPubComp => {
-                    self.send_packet(sim, to, &Packet::PubRel { packet_id: pid });
-                }
+            if ob.released {
+                self.send_packet(sim, to, &Packet::PubRel { packet_id: pid });
+            } else {
+                self.stats.publishes_out += 1;
+                let pkt = Packet::Publish {
+                    dup: true,
+                    qos: ob.qos,
+                    retain: ob.retain,
+                    topic: ob.topic,
+                    packet_id: Some(pid),
+                    payload: ob.payload,
+                };
+                self.send_packet(sim, to, &pkt);
             }
         }
     }
@@ -979,7 +969,7 @@ impl Broker {
                         s.last_seen = sim.now();
                         s.last_probe = None;
                     }
-                    match Packet::decode(&payload) {
+                    match Packet::decode_shared(&payload) {
                         Ok(pkt) => self.handle_packet(sim, peer, pkt),
                         Err(_) => self.stats.malformed += 1,
                     }
@@ -1146,6 +1136,25 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e, ClientEvent::Message { retain: true, .. })));
+    }
+
+    #[test]
+    fn retained_replay_is_once_per_topic_in_topic_order() {
+        let mut rig = Rig::new();
+        let (publisher, _) = rig.client("pub");
+        for topic in ["b/x", "a/c/d", "ab", "a/b", "a"] {
+            let mut p = publisher.borrow_mut();
+            p.conn.publish(&mut rig.sim, topic, &b"r"[..], QoS::AtMostOnce, true);
+        }
+        rig.sim.run_to_completion();
+        let (sub, _) = rig.client("sub");
+        // "a/#" also matches its parent "a"; "a/b" matches twice.
+        let filters = [("a/#", QoS::AtMostOnce), ("+/x", QoS::AtMostOnce), ("a/b", QoS::AtMostOnce)];
+        sub.borrow_mut().conn.subscribe(&mut rig.sim, &filters);
+        rig.sim.run_to_completion();
+        let topics: Vec<String> = sub.borrow().messages().into_iter().map(|(t, _)| t).collect();
+        assert_eq!(topics, ["a", "a/b", "a/c/d", "b/x"]);
+        assert_eq!(rig.broker.borrow().stats().retained_served, 4);
     }
 
     #[test]
@@ -1490,11 +1499,7 @@ mod tests {
         rig.sim.bind(addr, c.clone());
         c.borrow_mut().conn.connect_persistent(&mut rig.sim, None);
         rig.sim.run_to_completion();
-        assert!(c
-            .borrow()
-            .events
-            .iter()
-            .any(|e| *e == ClientEvent::Connected { session_present: false }));
+        assert!(c.borrow().events.contains(&ClientEvent::Connected { session_present: false }));
         c.borrow_mut().conn.subscribe(&mut rig.sim, &[("keep/t", QoS::AtLeastOnce)]);
         rig.sim.run_to_completion();
         c.borrow_mut().conn.disconnect(&mut rig.sim);
@@ -1509,11 +1514,7 @@ mod tests {
         // true, the subscription still routes, and the queued message lands.
         c.borrow_mut().conn.connect(&mut rig.sim, None);
         rig.sim.run_to_completion();
-        assert!(c
-            .borrow()
-            .events
-            .iter()
-            .any(|e| *e == ClientEvent::Connected { session_present: true }));
+        assert!(c.borrow().events.contains(&ClientEvent::Connected { session_present: true }));
         assert_eq!(c.borrow().messages(), vec![("keep/t".to_string(), b"wb".to_vec())]);
         assert_eq!(rig.broker.borrow().stats().session_resumes, 1);
         // Live again: a fresh publish arrives exactly once.
@@ -1541,11 +1542,7 @@ mod tests {
         rig.sim.bind(Addr::new(node, 21_101), c2.clone());
         c2.borrow_mut().conn.connect(&mut rig.sim, None);
         rig.sim.run_to_completion();
-        assert!(c2
-            .borrow()
-            .events
-            .iter()
-            .any(|e| *e == ClientEvent::Connected { session_present: false }));
+        assert!(c2.borrow().events.contains(&ClientEvent::Connected { session_present: false }));
         assert_eq!(rig.broker.borrow().stashed_count(), 0, "clean CONNECT destroys the stash");
         // The old subscription is gone with it.
         let (publisher, _) = rig.client("pub");
@@ -1572,11 +1569,7 @@ mod tests {
         rig.sim.bind(a2, c2.clone());
         c2.borrow_mut().conn.connect_persistent(&mut rig.sim, None);
         rig.sim.run_to_completion();
-        assert!(c2
-            .borrow()
-            .events
-            .iter()
-            .any(|e| *e == ClientEvent::Connected { session_present: true }));
+        assert!(c2.borrow().events.contains(&ClientEvent::Connected { session_present: true }));
         assert_eq!(rig.broker.borrow().session_count(), 1, "old connection displaced");
         assert_eq!(rig.broker.borrow().stats().session_takeovers, 1);
         let (publisher, _) = rig.client("pub");
@@ -1644,11 +1637,7 @@ mod tests {
             rig.sim.run_for(SimDuration::from_secs(2));
         }
         assert!(sub.borrow().conn.is_connected());
-        assert!(sub
-            .borrow()
-            .events
-            .iter()
-            .any(|e| *e == ClientEvent::Connected { session_present: true }));
+        assert!(sub.borrow().events.contains(&ClientEvent::Connected { session_present: true }));
 
         rig.sim.run_for(SimDuration::from_secs(2));
         assert_eq!(

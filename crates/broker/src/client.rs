@@ -9,7 +9,7 @@ use bytes::Bytes;
 use digibox_net::transport::{ReliableEndpoint, TransportEvent};
 use digibox_net::{Addr, Datagram, Sim, TimerToken};
 
-use crate::packet::{ConnectFlags, Packet, QoS};
+use crate::packet::{ConnectFlags, Packet, PublishRef, QoS};
 
 /// Events surfaced to the owner of an [`MqttConn`].
 #[derive(Debug, Clone, PartialEq)]
@@ -54,17 +54,6 @@ enum State {
     Connected,
 }
 
-/// Where an outbound QoS 1/2 publish sits in its acknowledgement handshake.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum OutboundState {
-    /// QoS 1: waiting for PUBACK.
-    AwaitPubAck,
-    /// QoS 2: waiting for PUBREC (the publish itself may need a DUP resend).
-    AwaitPubRec,
-    /// QoS 2: PUBREL sent, waiting for PUBCOMP.
-    AwaitPubComp,
-}
-
 /// An in-flight outbound publish, kept until its handshake completes so
 /// it can be retransmitted with DUP after a session resumption.
 #[derive(Debug, Clone)]
@@ -73,7 +62,10 @@ struct OutboundPublish {
     payload: Bytes,
     qos: QoS,
     retain: bool,
-    state: OutboundState,
+    /// QoS 2 only: PUBREC came back and PUBREL went out, so PUBCOMP is
+    /// awaited. Otherwise the publish awaits PUBACK (QoS 1) or PUBREC (and
+    /// may need a DUP resend).
+    released: bool,
 }
 
 /// An MQTT client connection to one broker.
@@ -136,8 +128,7 @@ impl MqttConn {
     }
 
     fn send_packet(&mut self, sim: &mut Sim, pkt: &Packet) {
-        let broker = self.broker;
-        self.ep.send(sim, broker, pkt.encode());
+        self.ep.send_with(sim, self.broker, pkt.encoded_len(), |b| pkt.encode_into(b));
     }
 
     /// Open the session (CONNECT). `will` is the optional last-will
@@ -203,31 +194,20 @@ impl MqttConn {
             QoS::AtMostOnce => None,
             QoS::AtLeastOnce | QoS::ExactlyOnce => Some(self.next_pid()),
         };
+        let publish = PublishRef { dup: false, qos, retain, topic, packet_id, payload: &payload };
+        self.ep.send_with(sim, self.broker, publish.encoded_len(), |b| publish.encode_into(b));
         if let Some(pid) = packet_id {
             self.outbound.insert(
                 pid,
                 OutboundPublish {
                     topic: topic.to_string(),
-                    payload: payload.clone(),
+                    payload,
                     qos,
                     retain,
-                    state: if qos == QoS::AtLeastOnce {
-                        OutboundState::AwaitPubAck
-                    } else {
-                        OutboundState::AwaitPubRec
-                    },
+                    released: false,
                 },
             );
         }
-        let pkt = Packet::Publish {
-            dup: false,
-            qos,
-            retain,
-            topic: topic.to_string(),
-            packet_id,
-            payload,
-        };
-        self.send_packet(sim, &pkt);
         packet_id
     }
 
@@ -266,7 +246,7 @@ impl MqttConn {
     fn pump(&mut self, sim: &mut Sim) {
         while let Some(ev) = self.ep.poll() {
             match ev {
-                TransportEvent::Delivered { payload, .. } => match Packet::decode(&payload) {
+                TransportEvent::Delivered { payload, .. } => match Packet::decode_shared(&payload) {
                     Ok(pkt) => self.handle_packet(sim, pkt),
                     Err(_) => { /* count and drop malformed broker frames */ }
                 },
@@ -286,21 +266,18 @@ impl MqttConn {
         let pids: Vec<u16> = self.outbound.keys().copied().collect();
         for pid in pids {
             let ob = self.outbound[&pid].clone();
-            match ob.state {
-                OutboundState::AwaitPubAck | OutboundState::AwaitPubRec => {
-                    let pkt = Packet::Publish {
-                        dup: true,
-                        qos: ob.qos,
-                        retain: ob.retain,
-                        topic: ob.topic,
-                        packet_id: Some(pid),
-                        payload: ob.payload,
-                    };
-                    self.send_packet(sim, &pkt);
-                }
-                OutboundState::AwaitPubComp => {
-                    self.send_packet(sim, &Packet::PubRel { packet_id: pid });
-                }
+            if ob.released {
+                self.send_packet(sim, &Packet::PubRel { packet_id: pid });
+            } else {
+                let pkt = Packet::Publish {
+                    dup: true,
+                    qos: ob.qos,
+                    retain: ob.retain,
+                    topic: ob.topic,
+                    packet_id: Some(pid),
+                    payload: ob.payload,
+                };
+                self.send_packet(sim, &pkt);
             }
         }
     }
@@ -353,7 +330,7 @@ impl MqttConn {
             }
             Packet::PubRec { packet_id } => {
                 if let Some(ob) = self.outbound.get_mut(&packet_id) {
-                    ob.state = OutboundState::AwaitPubComp;
+                    ob.released = true;
                 }
                 self.send_packet(sim, &Packet::PubRel { packet_id });
             }
@@ -362,7 +339,8 @@ impl MqttConn {
                 self.send_packet(sim, &Packet::PubComp { packet_id });
             }
             Packet::PubComp { packet_id } => {
-                if self.outbound.remove(&packet_id).is_some() {
+                let completed = self.outbound.remove(&packet_id).is_some();
+                if completed {
                     self.events.push_back(ClientEvent::PubComp { packet_id });
                 }
             }

@@ -6,7 +6,9 @@
 //! (bit flips, truncation, splices, garbage) and feeds the mutant back to
 //! the decoder. The decoder must never panic: it either yields a packet —
 //! which must then itself re-encode/decode stably — or a typed
-//! [`PacketError`].
+//! [`PacketError`]. Both the packet and the mutant also go through
+//! [`Packet::decode_shared`], which must return the same result as the
+//! copying decoder.
 //!
 //! The whole run is a pure function of `(seed, iterations)`, so a failing
 //! seed is a one-line reproducer, and CI can pin a fixed seed set
@@ -205,6 +207,18 @@ fn mutate(rng: &mut Prng, enc: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Decode `enc` through the copying and the shared-buffer decoder, which
+/// must agree; `what`, `seed` and `i` name the input in the panic message.
+fn decode_both(enc: &Bytes, what: &str, seed: u64, i: u64) -> Result<Packet, PacketError> {
+    let copied = Packet::decode(enc);
+    assert_eq!(
+        Packet::decode_shared(enc),
+        copied,
+        "shared-buffer decode of the {what} differs at seed={seed} iteration={i}"
+    );
+    copied
+}
+
 /// Run the fuzzer: `iterations` rounds of generate → round-trip →
 /// mutate → decode. Panics (with the seed in the message) on the first
 /// violated invariant, otherwise returns the run's [`FuzzReport`].
@@ -216,7 +230,7 @@ pub fn run(seed: u64, iterations: u64) -> FuzzReport {
     for i in 0..iterations {
         let pkt = gen_packet(&mut gen_rng);
         let enc = pkt.encode();
-        match Packet::decode(&enc) {
+        match decode_both(&enc, "packet", seed, i) {
             Ok(back) => assert_eq!(
                 back, pkt,
                 "round-trip mismatch at seed={seed} iteration={i}"
@@ -224,8 +238,8 @@ pub fn run(seed: u64, iterations: u64) -> FuzzReport {
             Err(e) => panic!("valid packet failed to decode at seed={seed} iteration={i}: {e}"),
         }
         report.valid_roundtrips += 1;
-        let mutant = mutate(&mut mut_rng, &enc);
-        match Packet::decode(&mutant) {
+        let mutant = Bytes::from(mutate(&mut mut_rng, &enc));
+        match decode_both(&mutant, "mutant", seed, i) {
             Ok(p2) => {
                 // Whatever the decoder accepts must itself be stable
                 // under encode/decode (no "valid but unrepresentable"

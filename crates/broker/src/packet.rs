@@ -3,6 +3,13 @@
 //! Wire format follows the OASIS spec for the packet types Digibox uses:
 //! fixed header (type + flags, varint remaining length), UTF-8 length-
 //! prefixed strings, u16 packet identifiers.
+//!
+//! Both directions avoid copying message bytes: [`Packet::encoded_len`]
+//! sizes a packet exactly, so [`Packet::encode_into`] (and
+//! [`PublishRef::encode_into`], for a PUBLISH over a borrowed topic and
+//! payload) can append it to a buffer sized once, such as a transport
+//! frame; [`Packet::decode_shared`] returns payloads as windows onto the
+//! received buffer.
 
 use std::fmt;
 
@@ -128,6 +135,40 @@ pub enum Packet {
     Disconnect,
 }
 
+/// A PUBLISH over a borrowed topic and payload. It encodes to the same
+/// bytes as the [`Packet::Publish`] with these fields, without building
+/// one (no topic `String`, no payload `Bytes`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PublishRef<'a> {
+    /// Redelivery flag (QoS 1/2 retransmits).
+    pub dup: bool,
+    /// Delivery guarantee for this message.
+    pub qos: QoS,
+    /// Store as the topic's retained message.
+    pub retain: bool,
+    /// Destination topic.
+    pub topic: &'a str,
+    /// Acknowledgement id; present iff QoS > 0.
+    pub packet_id: Option<u16>,
+    /// Message bytes.
+    pub payload: &'a [u8],
+}
+
+impl PublishRef<'_> {
+    /// Exact size of the encoding, fixed header included.
+    pub fn encoded_len(&self) -> usize {
+        framed_len(publish_body_len(self.topic, self.qos, self.payload.len()))
+    }
+
+    /// Append the encoding to `out`.
+    pub fn encode_into(&self, out: &mut BytesMut) {
+        let body_len = publish_body_len(self.topic, self.qos, self.payload.len());
+        out.put_u8((TYPE_PUBLISH << 4) | publish_flags(self.dup, self.qos, self.retain));
+        put_remaining_length(out, body_len);
+        put_publish_body(out, self.topic, self.qos, self.packet_id, self.payload);
+    }
+}
+
 /// Codec errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PacketError {
@@ -197,13 +238,23 @@ const CONNECT_FLAG_WILL: u8 = 0x04;
 impl Packet {
     /// Encode into a standalone byte buffer (fixed header + body).
     pub fn encode(&self) -> Bytes {
-        let body = self.encode_body();
-        let (ptype, flags) = self.type_and_flags();
-        let mut out = BytesMut::with_capacity(body.len() + 5);
-        out.put_u8((ptype << 4) | flags);
-        put_remaining_length(&mut out, body.len());
-        out.put_slice(&body);
+        let mut out = BytesMut::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
         out.freeze()
+    }
+
+    /// Exact size of the encoding, fixed header included.
+    pub fn encoded_len(&self) -> usize {
+        framed_len(self.body_len())
+    }
+
+    /// Append the encoding to `out`: the bytes of [`Packet::encode`],
+    /// without a buffer of its own.
+    pub fn encode_into(&self, out: &mut BytesMut) {
+        let (ptype, flags) = self.type_and_flags();
+        out.put_u8((ptype << 4) | flags);
+        put_remaining_length(out, self.body_len());
+        self.put_body(out);
     }
 
     fn type_and_flags(&self) -> (u8, u8) {
@@ -211,15 +262,7 @@ impl Packet {
             Packet::Connect { .. } => (TYPE_CONNECT, 0),
             Packet::ConnAck { .. } => (TYPE_CONNACK, 0),
             Packet::Publish { dup, qos, retain, .. } => {
-                let mut f = 0u8;
-                if *dup {
-                    f |= 0b1000;
-                }
-                f |= (*qos as u8) << 1;
-                if *retain {
-                    f |= 0b0001;
-                }
-                (TYPE_PUBLISH, f)
+                (TYPE_PUBLISH, publish_flags(*dup, *qos, *retain))
             }
             Packet::PubAck { .. } => (TYPE_PUBACK, 0),
             Packet::PubRec { .. } => (TYPE_PUBREC, 0),
@@ -235,11 +278,38 @@ impl Packet {
         }
     }
 
-    fn encode_body(&self) -> BytesMut {
-        let mut b = BytesMut::new();
+    /// Size of the body [`Packet::put_body`] writes.
+    fn body_len(&self) -> usize {
         match self {
             Packet::Connect { client_id, flags } => {
-                put_string(&mut b, "MQTT");
+                // "MQTT", level, flags, keep-alive, client id, will.
+                let will = flags.will.as_ref().map_or(0, |(t, p)| 2 + t.len() + 2 + p.len());
+                (2 + 4) + 1 + 1 + 2 + (2 + client_id.len()) + will
+            }
+            Packet::ConnAck { .. } => 2,
+            Packet::Publish { topic, qos, payload, .. } => {
+                publish_body_len(topic, *qos, payload.len())
+            }
+            Packet::PubAck { .. }
+            | Packet::PubRec { .. }
+            | Packet::PubRel { .. }
+            | Packet::PubComp { .. }
+            | Packet::UnsubAck { .. } => 2,
+            Packet::Subscribe { filters, .. } => {
+                2 + filters.iter().map(|(f, _)| 2 + f.len() + 1).sum::<usize>()
+            }
+            Packet::SubAck { codes, .. } => 2 + codes.len(),
+            Packet::Unsubscribe { filters, .. } => {
+                2 + filters.iter().map(|f| 2 + f.len()).sum::<usize>()
+            }
+            Packet::PingReq | Packet::PingResp | Packet::Disconnect => 0,
+        }
+    }
+
+    fn put_body(&self, b: &mut BytesMut) {
+        match self {
+            Packet::Connect { client_id, flags } => {
+                put_string(b, "MQTT");
                 b.put_u8(4); // protocol level 3.1.1
                 let mut cf = 0u8;
                 if flags.clean_session {
@@ -250,9 +320,9 @@ impl Packet {
                 }
                 b.put_u8(cf);
                 b.put_u16(flags.keep_alive_secs);
-                put_string(&mut b, client_id);
+                put_string(b, client_id);
                 if let Some((topic, payload)) = &flags.will {
-                    put_string(&mut b, topic);
+                    put_string(b, topic);
                     b.put_u16(payload.len() as u16);
                     b.put_slice(payload);
                 }
@@ -262,11 +332,7 @@ impl Packet {
                 b.put_u8(*code);
             }
             Packet::Publish { topic, packet_id, payload, qos, .. } => {
-                put_string(&mut b, topic);
-                if *qos != QoS::AtMostOnce {
-                    b.put_u16(packet_id.expect("qos>0 publish needs a packet id"));
-                }
-                b.put_slice(payload);
+                put_publish_body(b, topic, *qos, *packet_id, payload);
             }
             Packet::PubAck { packet_id }
             | Packet::PubRec { packet_id }
@@ -278,30 +344,41 @@ impl Packet {
             Packet::Subscribe { packet_id, filters } => {
                 b.put_u16(*packet_id);
                 for (f, q) in filters {
-                    put_string(&mut b, f);
+                    put_string(b, f);
                     b.put_u8(*q as u8);
                 }
             }
             Packet::SubAck { packet_id, codes } => {
                 b.put_u16(*packet_id);
-                for c in codes {
-                    b.put_u8(*c);
-                }
+                b.put_slice(codes);
             }
             Packet::Unsubscribe { packet_id, filters } => {
                 b.put_u16(*packet_id);
                 for f in filters {
-                    put_string(&mut b, f);
+                    put_string(b, f);
                 }
             }
             Packet::PingReq | Packet::PingResp | Packet::Disconnect => {}
         }
-        b
     }
 
     /// Decode a standalone packet; the buffer must contain exactly one
-    /// packet (our transport preserves message boundaries).
+    /// packet (our transport preserves message boundaries). Payloads are
+    /// copied out of `buf`.
     pub fn decode(buf: &[u8]) -> Result<Packet, PacketError> {
+        Packet::decode_from(buf, None)
+    }
+
+    /// [`Packet::decode`] for a packet in a shared buffer: the PUBLISH and
+    /// will payloads are windows onto `buf`, not copies. The result equals
+    /// `decode(buf)`.
+    pub fn decode_shared(buf: &Bytes) -> Result<Packet, PacketError> {
+        Packet::decode_from(buf, Some(buf))
+    }
+
+    /// The decoder behind both entry points; `shared`, when given, is
+    /// `buf` itself, which payloads are sliced from.
+    fn decode_from(buf: &[u8], shared: Option<&Bytes>) -> Result<Packet, PacketError> {
         let mut cur = buf;
         if cur.remaining() < 2 {
             return Err(PacketError::Truncated);
@@ -316,6 +393,7 @@ impl Packet {
         if cur.remaining() > remaining {
             return Err(PacketError::TrailingBytes(cur.remaining() - remaining));
         }
+        // `body` runs to the end of `buf`, which `take_bytes` relies on.
         let mut body = &cur[..remaining];
         let pkt = match ptype {
             TYPE_CONNECT => {
@@ -334,9 +412,7 @@ impl Packet {
                     if body.remaining() < len {
                         return Err(PacketError::Truncated);
                     }
-                    let payload = Bytes::copy_from_slice(&body[..len]);
-                    body.advance(len);
-                    Some((topic, payload))
+                    Some((topic, take_bytes(&mut body, len, shared)))
                 } else {
                     None
                 };
@@ -366,8 +442,8 @@ impl Packet {
                 } else {
                     None
                 };
-                let payload = Bytes::copy_from_slice(body);
-                body = &body[body.len()..];
+                let rest = body.len();
+                let payload = take_bytes(&mut body, rest, shared);
                 Packet::Publish { dup, qos, retain, topic, packet_id, payload }
             }
             TYPE_PUBACK => {
@@ -445,6 +521,62 @@ fn expect_flags(packet_type: u8, flags: u8, expected: u8) -> Result<(), PacketEr
     } else {
         Err(PacketError::BadFlags { packet_type, flags })
     }
+}
+
+fn publish_flags(dup: bool, qos: QoS, retain: bool) -> u8 {
+    let mut f = (qos as u8) << 1;
+    if dup {
+        f |= 0b1000;
+    }
+    if retain {
+        f |= 0b0001;
+    }
+    f
+}
+
+fn publish_body_len(topic: &str, qos: QoS, payload_len: usize) -> usize {
+    let pid = if qos == QoS::AtMostOnce { 0 } else { 2 };
+    2 + topic.len() + pid + payload_len
+}
+
+fn put_publish_body(
+    b: &mut BytesMut,
+    topic: &str,
+    qos: QoS,
+    packet_id: Option<u16>,
+    payload: &[u8],
+) {
+    put_string(b, topic);
+    if qos != QoS::AtMostOnce {
+        b.put_u16(packet_id.expect("qos>0 publish needs a packet id"));
+    }
+    b.put_slice(payload);
+}
+
+/// Size of a packet whose body is `body_len` bytes: type byte, remaining
+/// length varint, body.
+fn framed_len(body_len: usize) -> usize {
+    let mut varint = 1;
+    let mut rest = body_len / 128;
+    while rest > 0 {
+        varint += 1;
+        rest /= 128;
+    }
+    1 + varint + body_len
+}
+
+/// Take the next `len` bytes of `body`, which runs to the end of the
+/// packet: a window onto `shared` when given, else a copy.
+fn take_bytes(body: &mut &[u8], len: usize, shared: Option<&Bytes>) -> Bytes {
+    let out = match shared {
+        Some(all) => {
+            let at = all.len() - body.len();
+            all.slice(at..at + len)
+        }
+        None => Bytes::copy_from_slice(&body[..len]),
+    };
+    body.advance(len);
+    out
 }
 
 fn put_remaining_length(b: &mut BytesMut, mut len: usize) {
@@ -680,7 +812,8 @@ mod tests {
     #[test]
     fn decode_never_panics() {
         for_each_seed(256, |rng| {
-            let _ = Packet::decode(&random_bytes(rng, 128));
+            let buf = Bytes::from(random_bytes(rng, 128));
+            assert_eq!(Packet::decode_shared(&buf), Packet::decode(&buf));
         });
     }
 
@@ -693,6 +826,111 @@ mod tests {
             let mut cur: &[u8] = &b;
             assert_eq!(get_remaining_length(&mut cur).unwrap(), n);
         });
+    }
+
+    /// One packet of every kind, with bodies on both sides of the one-,
+    /// two- and three-byte remaining-length boundaries.
+    fn every_kind() -> Vec<Packet> {
+        let publish = |qos: QoS, packet_id: Option<u16>, len: usize| Packet::Publish {
+            dup: qos == QoS::ExactlyOnce,
+            qos,
+            retain: len % 2 == 1,
+            topic: "digibox/mock/O1/status".into(),
+            packet_id,
+            payload: Bytes::from(vec![0xA5; len]),
+        };
+        let mut all = vec![
+            Packet::Connect {
+                client_id: "mock/O1".into(),
+                flags: ConnectFlags { clean_session: true, will: None, keep_alive_secs: 30 },
+            },
+            Packet::Connect {
+                client_id: "mock/L1".into(),
+                flags: ConnectFlags {
+                    clean_session: false,
+                    will: Some(("digibox/lwt/L1".into(), Bytes::from_static(b"offline"))),
+                    keep_alive_secs: 0,
+                },
+            },
+            Packet::ConnAck { session_present: true, code: 0 },
+            Packet::PubAck { packet_id: 1 },
+            Packet::PubRec { packet_id: 2 },
+            Packet::PubRel { packet_id: 3 },
+            Packet::PubComp { packet_id: 4 },
+            Packet::Subscribe {
+                packet_id: 5,
+                filters: vec![
+                    ("a/+/c".into(), QoS::AtLeastOnce),
+                    ("$share/g/#".into(), QoS::AtMostOnce),
+                ],
+            },
+            Packet::SubAck { packet_id: 5, codes: vec![1, 0x80] },
+            Packet::Unsubscribe { packet_id: 6, filters: vec!["a/+/c".into()] },
+            Packet::UnsubAck { packet_id: 6 },
+            Packet::PingReq,
+            Packet::PingResp,
+            Packet::Disconnect,
+        ];
+        // Bodies are 24 + len bytes at QoS 0 and 26 + len above it.
+        for len in [0, 1, 101, 102, 103, 104, 16_357, 16_358, 16_359, 16_360] {
+            all.push(publish(QoS::AtMostOnce, None, len));
+            all.push(publish(QoS::AtLeastOnce, Some(7), len));
+            all.push(publish(QoS::ExactlyOnce, Some(8), len));
+        }
+        all
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_encode() {
+        for_each_seed(16, |rng| {
+            let prefix = random_bytes(rng, 40);
+            for p in every_kind() {
+                let enc = p.encode();
+                assert_eq!(p.encoded_len(), enc.len(), "encoded_len of {p:?}");
+                let mut out = BytesMut::new();
+                out.extend_from_slice(&prefix);
+                p.encode_into(&mut out);
+                assert_eq!(&out[..prefix.len()], &prefix[..]);
+                assert_eq!(&out[prefix.len()..], &enc[..], "encode_into of {p:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn publish_ref_encodes_like_publish() {
+        for p in every_kind() {
+            let Packet::Publish { dup, qos, retain, ref topic, packet_id, ref payload } = p else {
+                continue;
+            };
+            let r = PublishRef { dup, qos, retain, topic, packet_id, payload };
+            let mut out = BytesMut::new();
+            r.encode_into(&mut out);
+            assert_eq!(&out[..], &p.encode()[..]);
+            assert_eq!(r.encoded_len(), out.len());
+        }
+    }
+
+    #[test]
+    fn shared_decode_equals_decode_and_slices_the_buffer() {
+        for p in every_kind() {
+            let enc = p.encode();
+            // The packet behind a transport header, as it arrives.
+            let mut framed = BytesMut::new();
+            framed.extend_from_slice(&[0xEE; 17]);
+            framed.extend_from_slice(&enc);
+            let frame = framed.freeze();
+            let window = frame.slice(17..);
+            let shared = Packet::decode_shared(&window);
+            assert_eq!(shared, Packet::decode(&enc));
+            let payload = match shared.unwrap() {
+                Packet::Publish { payload, .. } => payload,
+                Packet::Connect { flags: ConnectFlags { will: Some((_, will)), .. }, .. } => will,
+                _ => continue,
+            };
+            let inside = frame.as_ptr_range();
+            let shares = payload.is_empty() || inside.contains(&payload.as_ptr());
+            assert!(shares, "{p:?} payload was copied");
+        }
     }
 
     /// Up to `max - 1` uniformly random bytes.

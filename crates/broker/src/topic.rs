@@ -97,6 +97,15 @@ pub fn matches(filter: &str, topic: &str) -> bool {
     }
 }
 
+/// The part of a valid `filter` before its first wildcard level, without
+/// the trailing `/`: every topic the filter matches starts with it.
+pub(crate) fn literal_prefix(filter: &str) -> &str {
+    match filter.find(['+', '#']) {
+        Some(i) => filter[..i].strip_suffix('/').unwrap_or(&filter[..i]),
+        None => filter,
+    }
+}
+
 /// Symbol reserved for the `+` wildcard level.
 const SYM_PLUS: u32 = 0;
 /// Symbol reserved for the `#` wildcard level.
@@ -237,14 +246,16 @@ impl<T> TopicTrie<T> {
     }
 
     /// Replace every value under `filter` for which `pred` returns true
-    /// with `value` — or insert `value` fresh if nothing matched.
+    /// with `value` — or insert `value` fresh if nothing matched. Returns
+    /// how many values were replaced.
     ///
     /// Collapsing to a single entry is MQTT 3.1.1 §3.8.4: re-SUBSCRIBE on
     /// a filter the session already holds replaces the granted QoS rather
     /// than adding a second route (which would double-deliver).
-    pub fn replace_where(&mut self, filter: &str, value: T, pred: impl FnMut(&T) -> bool) {
-        self.remove_where(filter, pred);
+    pub fn replace_where(&mut self, filter: &str, value: T, pred: impl FnMut(&T) -> bool) -> usize {
+        let removed = self.remove_where(filter, pred);
         self.insert(filter, value);
+        removed
     }
 
     /// Remove every value under `filter` for which `pred` returns true.
@@ -363,13 +374,13 @@ mod tests {
         // regression: re-SUBSCRIBE used to push a second value under the
         // same filter, so one publish matched the session twice.
         let mut trie = TopicTrie::new();
-        trie.replace_where("a/+", ("c1", 0u8), |(c, _)| *c == "c1");
-        trie.replace_where("a/+", ("c1", 1u8), |(c, _)| *c == "c1");
+        assert_eq!(trie.replace_where("a/+", ("c1", 0u8), |(c, _)| *c == "c1"), 0);
+        assert_eq!(trie.replace_where("a/+", ("c1", 1u8), |(c, _)| *c == "c1"), 1);
         assert_eq!(trie.len(), 1, "re-subscribe must not duplicate the route");
         let got: Vec<_> = trie.lookup("a/b").into_iter().collect();
         assert_eq!(got, vec![&("c1", 1u8)], "granted QoS is replaced");
         // a different session's entry under the same filter is untouched
-        trie.replace_where("a/+", ("c2", 0u8), |(c, _)| *c == "c2");
+        assert_eq!(trie.replace_where("a/+", ("c2", 0u8), |(c, _)| *c == "c2"), 0);
         assert_eq!(trie.len(), 2);
     }
 
@@ -389,6 +400,23 @@ mod tests {
         assert!(!matches("+/stats", "$SYS/stats"));
         assert!(matches("$SYS/stats", "$SYS/stats"));
         assert!(matches("$SYS/#", "$SYS/stats"));
+    }
+
+    #[test]
+    fn literal_prefix_bounds_every_match() {
+        let cases =
+            [("a/b/+/c", "a/b"), ("a/#", "a"), ("#", ""), ("+/x", ""), ("a/b", "a/b"), ("a//+", "a/")];
+        for (filter, prefix) in cases {
+            assert_eq!(literal_prefix(filter), prefix, "{filter}");
+        }
+        let topics = ["a", "a/b", "a/b/x/c", "a//q", "ab", "b/x", "$SYS/x", "a/b/c"];
+        for (filter, _) in cases {
+            for topic in topics {
+                if matches(filter, topic) {
+                    assert!(topic.starts_with(literal_prefix(filter)), "{filter} matches {topic}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -56,6 +56,8 @@ impl NetStats {
 /// HDR-style layout.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
+    /// Per-bucket sample counts; empty until the first sample arrives, so
+    /// a histogram nothing is ever recorded in costs no bucket memory.
     counts: Vec<u64>,
     total: u64,
     sum_nanos: u128,
@@ -65,6 +67,8 @@ pub struct LatencyHistogram {
 
 const SUB_BUCKETS: u64 = 16;
 const SUB_BITS: u32 = 4;
+/// 64 exponents × 16 sub-buckets is enough to never saturate u64.
+const BUCKETS: usize = (64 * SUB_BUCKETS) as usize;
 
 impl Default for LatencyHistogram {
     fn default() -> Self {
@@ -75,9 +79,8 @@ impl Default for LatencyHistogram {
 impl LatencyHistogram {
     /// An empty histogram.
     pub fn new() -> LatencyHistogram {
-        // 64 exponents × 16 sub-buckets is enough to never saturate u64.
         LatencyHistogram {
-            counts: vec![0; (64 * SUB_BUCKETS) as usize],
+            counts: Vec::new(),
             total: 0,
             sum_nanos: 0,
             min_nanos: u64::MAX,
@@ -106,10 +109,18 @@ impl LatencyHistogram {
         (SUB_BUCKETS + sub) << (exp - SUB_BITS as u64)
     }
 
+    /// The bucket counts, allocated on first use.
+    fn counts_mut(&mut self) -> &mut [u64] {
+        if self.counts.is_empty() {
+            self.counts = vec![0; BUCKETS];
+        }
+        &mut self.counts
+    }
+
     /// Record one latency sample.
     pub fn record(&mut self, d: SimDuration) {
         let n = d.as_nanos();
-        self.counts[Self::index(n)] += 1;
+        self.counts_mut()[Self::index(n)] += 1;
         self.total += 1;
         self.sum_nanos += n as u128;
         self.min_nanos = self.min_nanos.min(n);
@@ -118,7 +129,10 @@ impl LatencyHistogram {
 
     /// Fold another histogram's samples into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+        if other.is_empty() {
+            return;
+        }
+        for (a, b) in self.counts_mut().iter_mut().zip(&other.counts) {
             *a += b;
         }
         self.total += other.total;
@@ -255,6 +269,25 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.mean().as_millis(), 2);
         assert_eq!(a.max().as_millis(), 3);
+    }
+
+    #[test]
+    fn merge_into_and_from_empty_histograms() {
+        let summary =
+            |h: &LatencyHistogram| (h.count(), h.mean(), h.min(), h.max(), h.p50(), h.p99());
+        let mut full = LatencyHistogram::new();
+        full.record(SimDuration::from_millis(2));
+        full.record(SimDuration::from_millis(5));
+        let before = summary(&full);
+        full.merge(&LatencyHistogram::new());
+        assert_eq!(summary(&full), before, "merging an empty histogram changes nothing");
+        let mut into = LatencyHistogram::new();
+        into.merge(&full);
+        assert_eq!(summary(&into), before, "merging into an empty histogram copies it");
+        let mut both = LatencyHistogram::new();
+        both.merge(&LatencyHistogram::new());
+        assert_eq!(summary(&both), summary(&LatencyHistogram::new()));
+        assert_eq!(both.counts.capacity(), 0, "empty merges allocate no buckets");
     }
 
     #[test]

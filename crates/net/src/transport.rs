@@ -26,6 +26,7 @@
 //! restarted service can never have its fresh frames silently "acked" by
 //! a peer that was actually talking to the previous incarnation.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque}; // keyed lookup only; `dbox audit` (DH0002) checks every iteration site
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -34,6 +35,8 @@ use crate::{Addr, Datagram, Sim, SimDuration, TimerToken};
 
 const FRAME_DATA: u8 = 0x01;
 const FRAME_ACK: u8 = 0x02;
+/// Bytes before a DATA frame's payload: kind, incarnation, sequence.
+const FRAME_HEADER: usize = 17;
 
 /// Timer tokens used by reliable endpoints have this bit set, so the owning
 /// service can route `on_timer` callbacks without ambiguity.
@@ -77,7 +80,8 @@ struct ConnState {
     send_inc: u64,
     /// Next sequence number to assign on send.
     next_send_seq: u64,
-    /// Sent but not yet cumulatively acked: seq → (payload, retries).
+    /// Sent but not yet cumulatively acked: seq → (DATA frame, retries).
+    /// An RTO re-sends the stored frame as is.
     unacked: BTreeMap<u64, (Bytes, u32)>,
     /// The peer's incarnation the receive state belongs to (0 = none seen
     /// yet). Frames from an older incarnation are ghosts and dropped; a
@@ -166,6 +170,20 @@ impl ReliableEndpoint {
 
     /// Send `payload` reliably to `peer`.
     pub fn send(&mut self, sim: &mut Sim, peer: Addr, payload: Bytes) {
+        self.send_with(sim, peer, payload.len(), |b| b.extend_from_slice(&payload));
+    }
+
+    /// Send a message of `len` bytes reliably to `peer`, letting `write`
+    /// append it straight after the DATA header. The frame is built in one
+    /// buffer of exactly `FRAME_HEADER + len` bytes, which both the
+    /// datagram and the retransmit queue share.
+    pub fn send_with(
+        &mut self,
+        sim: &mut Sim,
+        peer: Addr,
+        len: usize,
+        write: impl FnOnce(&mut BytesMut),
+    ) {
         let conn = self.conns.entry(peer).or_default();
         if conn.send_inc == 0 {
             // First send on this connection record: stamp its incarnation
@@ -173,11 +191,14 @@ impl ReliableEndpoint {
             // created after a reset necessarily gets a later, larger stamp.
             conn.send_inc = sim.now().as_nanos() + 1;
         }
-        let inc = conn.send_inc;
         let seq = conn.next_send_seq;
         conn.next_send_seq += 1;
-        conn.unacked.insert(seq, (payload.clone(), 0));
-        let frame = encode_data(inc, seq, &payload);
+        let mut b = BytesMut::with_capacity(FRAME_HEADER + len);
+        put_data_header(&mut b, conn.send_inc, seq);
+        write(&mut b);
+        debug_assert_eq!(b.len(), FRAME_HEADER + len, "send_with wrote other than `len` bytes");
+        let frame = b.freeze();
+        conn.unacked.insert(seq, (frame.clone(), 0));
         sim.send(self.local, peer, frame);
         self.arm_timer(sim, peer, seq, 0);
     }
@@ -196,7 +217,7 @@ impl ReliableEndpoint {
     /// the datagram was a transport frame (always, unless malformed).
     pub fn on_datagram(&mut self, sim: &mut Sim, dg: Datagram) -> bool {
         let peer = dg.src;
-        let mut buf = dg.payload.clone();
+        let mut buf = dg.payload;
         if buf.remaining() < 1 {
             return false;
         }
@@ -207,8 +228,9 @@ impl ReliableEndpoint {
                 }
                 let inc = buf.get_u64();
                 let seq = buf.get_u64();
-                let payload = buf.copy_to_bytes(buf.remaining());
-                self.handle_data(sim, peer, inc, seq, payload);
+                // What is left of `buf` is the payload: a window onto the
+                // datagram, not a copy.
+                self.handle_data(sim, peer, inc, seq, buf);
                 true
             }
             FRAME_ACK => {
@@ -241,22 +263,26 @@ impl ReliableEndpoint {
             conn.recv_cursor = 0;
             conn.reorder.clear();
         }
-        let mut delivered = Vec::new();
-        if seq < conn.recv_cursor || conn.reorder.contains_key(&seq) {
+        if seq < conn.recv_cursor {
             self.duplicates += 1;
-        }
-        if seq >= conn.recv_cursor {
-            conn.reorder.entry(seq).or_insert(payload);
+        } else if seq == conn.recv_cursor && conn.reorder.is_empty() {
+            // The common case: the next frame in order, no gap pending.
+            conn.recv_cursor += 1;
+            self.events.push_back(TransportEvent::Delivered { peer, payload });
+        } else {
+            match conn.reorder.entry(seq) {
+                Entry::Occupied(_) => self.duplicates += 1,
+                Entry::Vacant(slot) => {
+                    slot.insert(payload);
+                }
+            }
             // Drain the in-order prefix.
             while let Some(p) = conn.reorder.remove(&conn.recv_cursor) {
                 conn.recv_cursor += 1;
-                delivered.push(p);
+                self.events.push_back(TransportEvent::Delivered { peer, payload: p });
             }
         }
         let cursor = conn.recv_cursor;
-        self.events.extend(
-            delivered.into_iter().map(|p| TransportEvent::Delivered { peer, payload: p }),
-        );
         // Cumulative ack: highest in-order seq received (cursor - 1); also
         // acks duplicates so the sender stops retransmitting. Echoes the
         // peer's incarnation so it can reject acks meant for a dead stream.
@@ -297,8 +323,7 @@ impl ReliableEndpoint {
         let Some(conn) = self.conns.get_mut(&peer) else {
             return true;
         };
-        let inc = conn.send_inc;
-        let Some((payload, retries)) = conn.unacked.get_mut(&seq) else {
+        let Some((frame, retries)) = conn.unacked.get_mut(&seq) else {
             return true; // acked in the meantime
         };
         *retries += 1;
@@ -309,7 +334,7 @@ impl ReliableEndpoint {
             self.events.push_back(TransportEvent::PeerFailed { peer });
             return true;
         }
-        let frame = encode_data(inc, seq, payload);
+        let frame = frame.clone();
         let retries = *retries;
         self.retransmits += 1;
         sim.send(self.local, peer, frame);
@@ -323,17 +348,14 @@ impl ReliableEndpoint {
     }
 }
 
-fn encode_data(inc: u64, seq: u64, payload: &Bytes) -> Bytes {
-    let mut b = BytesMut::with_capacity(17 + payload.len());
+fn put_data_header(b: &mut BytesMut, inc: u64, seq: u64) {
     b.put_u8(FRAME_DATA);
     b.put_u64(inc);
     b.put_u64(seq);
-    b.extend_from_slice(payload);
-    b.freeze()
 }
 
 fn encode_ack(inc: u64, ack: u64) -> Bytes {
-    let mut b = BytesMut::with_capacity(17);
+    let mut b = BytesMut::with_capacity(FRAME_HEADER);
     b.put_u8(FRAME_ACK);
     b.put_u64(inc);
     b.put_u64(ack);
@@ -347,9 +369,19 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    /// A hand-made DATA frame.
+    fn encode_data(inc: u64, seq: u64, payload: &Bytes) -> Bytes {
+        let mut b = BytesMut::with_capacity(FRAME_HEADER + payload.len());
+        put_data_header(&mut b, inc, seq);
+        b.extend_from_slice(payload);
+        b.freeze()
+    }
+
     /// Test service: a reliable endpoint that records what it receives.
     struct Peer {
         ep: ReliableEndpoint,
+        /// Every datagram that reached this peer, as received.
+        datagrams: Vec<Bytes>,
         delivered: Vec<Vec<u8>>,
         failures: usize,
     }
@@ -358,6 +390,7 @@ mod tests {
         fn new(addr: Addr) -> ServiceHandle<Peer> {
             Rc::new(RefCell::new(Peer {
                 ep: ReliableEndpoint::new(addr),
+                datagrams: Vec::new(),
                 delivered: Vec::new(),
                 failures: 0,
             }))
@@ -377,6 +410,7 @@ mod tests {
 
     impl Service for Peer {
         fn on_datagram(&mut self, sim: &mut Sim, dg: Datagram) {
+            self.datagrams.push(dg.payload.clone());
             self.ep.on_datagram(sim, dg);
             self.drain();
         }
@@ -454,6 +488,42 @@ mod tests {
         sim.run_to_completion();
         assert_eq!(pb.borrow().delivered, vec![b"once".to_vec()]);
         assert_eq!(pb.borrow().ep.duplicates(), 1, "redelivery counted");
+    }
+
+    #[test]
+    fn gap_fill_after_in_order_deliveries_keeps_order_and_counts_duplicates() {
+        let (mut sim, _pa, pb, a, b) = lossy_pair(0.0);
+        // One frame at a time, so link jitter cannot reorder them: 0 and 1
+        // arrive in order, 3 and 4 wait for the gap, 4 comes twice while
+        // buffered, 2 fills the gap, 5 is in order again, 1 is stale.
+        for seq in [0u8, 1, 3, 4, 4, 2, 5, 1] {
+            sim.send(a, b, encode_data(1, seq as u64, &Bytes::copy_from_slice(&[seq])));
+            sim.run_to_completion();
+        }
+        let expect: Vec<Vec<u8>> = (0u8..6).map(|s| vec![s]).collect();
+        assert_eq!(pb.borrow().delivered, expect);
+        assert_eq!(pb.borrow().ep.duplicates(), 2, "buffered and stale repeats both counted");
+    }
+
+    #[test]
+    fn rto_retransmit_resends_the_first_frame_byte_for_byte() {
+        let (mut sim, pa, pb, a, b) = lossy_pair(0.0);
+        // Black-hole the ACK path, so the frame is retransmitted, then heal
+        // it between the first and the second retransmit.
+        sim.topology_mut().set_link(b.node, a.node, LinkSpec::lossy_wireless(1.0));
+        pa.borrow_mut().ep.send_with(&mut sim, b, 5, |buf| buf.extend_from_slice(b"hello"));
+        sim.run_for(SimDuration::from_millis(120));
+        sim.topology_mut().set_link(b.node, a.node, LinkSpec::lossy_wireless(0.0));
+        sim.run_to_completion();
+        let frames = pb.borrow().datagrams.clone();
+        assert_eq!(frames.len(), 3, "first send and two retransmits");
+        assert_eq!(frames[0][0], FRAME_DATA);
+        assert_eq!(&frames[0][FRAME_HEADER..], b"hello");
+        assert!(frames.iter().all(|f| *f == frames[0]), "retransmits differ from the first send");
+        assert_eq!(pa.borrow().ep.retransmits(), 2);
+        assert_eq!(pa.borrow().ep.in_flight(b), 0);
+        assert_eq!(pb.borrow().delivered, vec![b"hello".to_vec()]);
+        assert_eq!(pb.borrow().ep.duplicates(), 2);
     }
 
     #[test]

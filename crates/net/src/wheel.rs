@@ -216,9 +216,7 @@ impl<T> EventWheel<T> {
                 self.base = (self.base & !(SLOTS as u64 - 1)) | s as u64;
                 self.occupancy[0][s / 64] &= !(1 << (s % 64));
                 std::mem::swap(&mut self.current, &mut self.levels[0][s]);
-                self.current
-                    .make_contiguous()
-                    .sort_unstable_by(|a, b| a.key().cmp(&b.key()));
+                self.current.make_contiguous().sort_unstable_by_key(|e| e.key());
                 return;
             }
             let mut cascaded = false;

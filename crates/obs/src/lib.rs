@@ -644,7 +644,7 @@ impl Snapshot {
         if !self.histograms.is_empty() {
             out.push_str("histograms:\n");
             for (name, h) in &self.histograms {
-                let mean = if h.count > 0 { h.sum / h.count } else { 0 };
+                let mean = h.sum.checked_div(h.count).unwrap_or(0);
                 out.push_str(&format!(
                     "  {name:<40} count={} mean={} max={}\n",
                     h.count, mean, h.max

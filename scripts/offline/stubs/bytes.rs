@@ -1,29 +1,51 @@
 //! In-tree byte buffers: the part of the `bytes` API the codecs in
 //! `digibox-net`/`digibox-broker` use (`Bytes`, `BytesMut`, `Buf`,
-//! `BufMut`), without the zero-copy machinery (`Bytes` here clones on
-//! slice). The workspace builds it as the `bytes` package
+//! `BufMut`). The workspace builds it as the `bytes` package
 //! (`crates/bytes`); `perfbench/build.py` compiles the same file with bare
 //! `rustc`.
-
-#![allow(dead_code)]
+//!
+//! A `Bytes` is a window onto shared, immutable storage, so handing one
+//! message buffer from layer to layer copies no data:
+//!
+//! - `BytesMut::freeze` moves its `Vec` into the shared storage as is;
+//! - `Bytes::slice`, `clone` and `Buf::copy_to_bytes` on a `Bytes` return
+//!   windows onto the same storage;
+//! - empty and `from_static` buffers borrow static memory and allocate
+//!   nothing.
+//!
+//! Only `Bytes::copy_from_slice`, `copy_to_bytes` on a non-`Bytes` buffer
+//! and `to_vec` copy. The storage is an `Arc`, so a `Bytes` is `Send`:
+//! islands hand datagrams across worker threads.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
+/// Where a [`Bytes`] window's bytes live.
+#[derive(Clone)]
+enum Storage {
+    /// Static memory: `from_static` and every empty buffer.
+    Static(&'static [u8]),
+    /// A `Vec` handed over by `freeze` or `From`, shared by every window
+    /// cut from it.
+    Shared(Arc<Vec<u8>>),
+}
+
+/// An immutable window `[start, end)` onto shared storage; cloning and
+/// slicing share the storage instead of copying it.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Storage,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
     pub fn new() -> Bytes {
-        Bytes::from_vec(Vec::new())
+        Bytes::from_static(&[])
     }
 
     pub fn from_static(b: &'static [u8]) -> Bytes {
-        Bytes::from_vec(b.to_vec())
+        Bytes { data: Storage::Static(b), start: 0, end: b.len() }
     }
 
     pub fn copy_from_slice(b: &[u8]) -> Bytes {
@@ -31,8 +53,11 @@ impl Bytes {
     }
 
     fn from_vec(v: Vec<u8>) -> Bytes {
+        if v.is_empty() {
+            return Bytes::new();
+        }
         let end = v.len();
-        Bytes { data: v.into(), start: 0, end }
+        Bytes { data: Storage::Shared(Arc::new(v)), start: 0, end }
     }
 
     pub fn len(&self) -> usize {
@@ -43,6 +68,7 @@ impl Bytes {
         self.len() == 0
     }
 
+    /// A window onto `range` of this buffer, sharing its storage.
     pub fn slice(&self, range: impl std::ops::RangeBounds<usize>) -> Bytes {
         use std::ops::Bound;
         let lo = match range.start_bound() {
@@ -56,7 +82,7 @@ impl Bytes {
             Bound::Unbounded => self.len(),
         };
         assert!(lo <= hi && hi <= self.len());
-        Bytes { data: Arc::clone(&self.data), start: self.start + lo, end: self.start + hi }
+        Bytes { data: self.data.clone(), start: self.start + lo, end: self.start + hi }
     }
 }
 
@@ -69,7 +95,11 @@ impl Default for Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        let all: &[u8] = match &self.data {
+            Storage::Static(b) => b,
+            Storage::Shared(v) => v,
+        };
+        &all[self.start..self.end]
     }
 }
 
@@ -161,7 +191,7 @@ impl IntoIterator for Bytes {
     type Item = u8;
     type IntoIter = std::vec::IntoIter<u8>;
     fn into_iter(self) -> Self::IntoIter {
-        self.to_vec().into_iter()
+        Vec::from(&self[..]).into_iter()
     }
 }
 
@@ -282,6 +312,12 @@ impl Buf for Bytes {
         assert!(n <= self.len());
         self.start += n;
     }
+    /// The next `n` bytes as a window onto the same storage.
+    fn copy_to_bytes(&mut self, n: usize) -> Bytes {
+        let out = self.slice(..n);
+        self.advance(n);
+        out
+    }
 }
 
 impl Buf for BytesMut {
@@ -334,5 +370,66 @@ impl BufMut for BytesMut {
 impl BufMut for Vec<u8> {
     fn put_slice(&mut self, s: &[u8]) {
         self.extend_from_slice(s);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn freeze_slice_and_copy_to_bytes_share_storage() {
+        let mut m = BytesMut::with_capacity(8);
+        m.extend_from_slice(b"abcdefgh");
+        let base = m.as_ptr();
+        let frozen = m.freeze();
+        assert_eq!(frozen.as_ptr(), base, "freeze hands the buffer over");
+        let s = frozen.slice(2..5);
+        assert_eq!(&s[..], b"cde");
+        assert_eq!(s.as_ptr(), base.wrapping_add(2));
+        let mut cur = frozen.clone();
+        cur.advance(1);
+        let taken = cur.copy_to_bytes(3);
+        assert_eq!(&taken[..], b"bcd");
+        assert_eq!(taken.as_ptr(), base.wrapping_add(1), "copy_to_bytes on Bytes is a slice");
+        assert_eq!(&cur[..], b"efgh");
+        assert_eq!(cur.as_ptr(), base.wrapping_add(4));
+    }
+
+    #[test]
+    fn copy_from_slice_and_slice_cursors_copy() {
+        let src = *b"abc";
+        let b = Bytes::copy_from_slice(&src);
+        assert_ne!(b.as_ptr(), src.as_ptr());
+        let mut cur: &[u8] = &src;
+        let taken = cur.copy_to_bytes(2);
+        assert_eq!(&taken[..], b"ab");
+        assert_ne!(taken.as_ptr(), src.as_ptr());
+        assert_eq!(cur, b"c");
+    }
+
+    #[test]
+    fn empty_buffers_compare_equal() {
+        let empties = [
+            Bytes::new(),
+            Bytes::default(),
+            Bytes::from(Vec::new()),
+            Bytes::from(String::new()),
+            Bytes::copy_from_slice(&[]),
+            BytesMut::new().freeze(),
+            Bytes::from_static(b"xyz").slice(1..1),
+            Bytes::copy_from_slice(b"xyz").slice(3..),
+        ];
+        for b in &empties {
+            assert!(b.is_empty());
+            assert_eq!(b, &Bytes::new());
+            assert_eq!(format!("{b:?}"), "b\"\"");
+        }
+    }
+
+    #[test]
+    fn bytes_is_send() {
+        fn send<T: Send>(_: T) {}
+        send(Bytes::copy_from_slice(b"datagram"));
     }
 }
