@@ -13,6 +13,7 @@ use digibox_net::transport::{ReliableEndpoint, TransportEvent};
 use digibox_net::{Addr, Datagram, Service, ServiceHandle, Sim, SimDuration, SimTime, TimerToken};
 
 use crate::packet::{Packet, PublishRef, QoS};
+use crate::pidmap::PidMap;
 use crate::topic::{literal_prefix, parse_share, validate_filter, validate_topic, TopicTrie};
 
 /// Application publishes between `$SYS` refreshes (change-driven rather
@@ -189,7 +190,7 @@ struct Session {
     inbound_rec: BTreeSet<u16>,
     /// In-flight broker→client QoS 1/2 deliveries, in pid order so
     /// resumption retransmits deterministically.
-    outbound: BTreeMap<u16, OutboundPub>,
+    outbound: PidMap<OutboundPub>,
 }
 
 impl Session {
@@ -205,7 +206,7 @@ impl Session {
     }
 }
 
-/// Freeze a live session's durable state (BTree order keeps the
+/// Freeze a live session's durable state (pid and BTree order keep the
 /// snapshot's vectors sorted, hence byte-stable when serialized).
 fn snapshot_of(s: &Session) -> SessionSnapshot {
     SessionSnapshot {
@@ -217,7 +218,7 @@ fn snapshot_of(s: &Session) -> SessionSnapshot {
         outbound: s
             .outbound
             .iter()
-            .map(|(&pid, ob)| OutboundSnapshot {
+            .map(|(pid, ob)| OutboundSnapshot {
                 packet_id: pid,
                 topic: ob.topic.clone(),
                 payload: ob.payload.clone(),
@@ -445,7 +446,7 @@ impl Broker {
                     last_seen: sim.now(),
                     last_probe: None,
                     inbound_rec: BTreeSet::new(),
-                    outbound: BTreeMap::new(),
+                    outbound: PidMap::new(),
                 };
                 if resumed {
                     let snap = self.stashed.remove(&client_id).expect("checked above");
@@ -617,14 +618,14 @@ impl Broker {
                 // QoS-1 broker→client delivery confirmed; forget the
                 // in-flight copy kept for session resumption.
                 if let Some(s) = self.sessions.get_mut(&from) {
-                    s.outbound.remove(&packet_id);
+                    s.outbound.remove(packet_id);
                 }
             }
             Packet::PubRec { packet_id } => {
                 // Client stored our QoS 2 delivery; release it. The
                 // in-flight copy survives (as "released") until PUBCOMP.
                 if let Some(s) = self.sessions.get_mut(&from) {
-                    if let Some(ob) = s.outbound.get_mut(&packet_id) {
+                    if let Some(ob) = s.outbound.get_mut(packet_id) {
                         ob.released = true;
                     }
                 }
@@ -640,7 +641,7 @@ impl Broker {
             }
             Packet::PubComp { packet_id } => {
                 if let Some(s) = self.sessions.get_mut(&from) {
-                    if s.outbound.remove(&packet_id).is_some() {
+                    if s.outbound.remove(packet_id).is_some() {
                         self.stats.qos2_completed += 1;
                         obs::inc(self.obs.qos2_complete);
                     }
@@ -830,7 +831,7 @@ impl Broker {
     fn retransmit_session(&mut self, sim: &mut Sim, to: Addr) {
         let Some(s) = self.sessions.get(&to) else { return };
         let resend: Vec<(u16, OutboundPub)> =
-            s.outbound.iter().map(|(&pid, ob)| (pid, ob.clone())).collect();
+            s.outbound.iter().map(|(pid, ob)| (pid, ob.clone())).collect();
         for (pid, ob) in resend {
             if ob.released {
                 self.send_packet(sim, to, &Packet::PubRel { packet_id: pid });
@@ -1722,5 +1723,73 @@ mod tests {
         let b = rig.broker.borrow();
         assert_eq!(b.stats().probes_sent, 0, "traffic resets the idle clock");
         assert_eq!(b.session_count(), 1);
+    }
+
+    #[test]
+    fn export_lists_wrapped_inflight_pids_in_pid_order() {
+        let mut rig = Rig::new();
+        let sub_addr = Addr::new(rig.broker_addr.node, 24_000);
+        let sub = TestClient::new(sub_addr, rig.broker_addr, "wrap-sub");
+        rig.sim.bind(sub_addr, sub.clone());
+        sub.borrow_mut().conn.connect_persistent(&mut rig.sim, None);
+        rig.sim.run_to_completion();
+        sub.borrow_mut().conn.subscribe(&mut rig.sim, &[("w/t", QoS::AtLeastOnce)]);
+        rig.sim.run_to_completion();
+        let (publisher, _) = rig.client("wrap-pub");
+        // The subscriber goes dark, so its four QoS 1 deliveries stay in
+        // flight under pids 65534, 65535, 1, 2.
+        rig.sim.unbind(sub_addr);
+        rig.broker.borrow_mut().next_pid = 65_534;
+        for pid in ["65534", "65535", "1", "2"] {
+            let mut p = publisher.borrow_mut();
+            p.conn.publish(&mut rig.sim, "w/t", pid.as_bytes(), QoS::AtLeastOnce, false);
+        }
+        rig.sim.run_for(SimDuration::from_millis(100));
+        let snaps = rig.broker.borrow().export_sessions();
+        let snap = snaps.iter().find(|s| s.client_id == "wrap-sub").expect("persistent session");
+        let pids: Vec<u16> = snap.outbound.iter().map(|o| o.packet_id).collect();
+        assert_eq!(pids, [1, 2, 65534, 65535]);
+        for o in &snap.outbound {
+            assert_eq!(o.payload, o.packet_id.to_string().as_bytes());
+        }
+    }
+
+    #[test]
+    fn client_resends_wrapped_inflight_pids_in_pid_order() {
+        let mut rig = Rig::new();
+        let pub_addr = Addr::new(rig.broker_addr.node, 24_100);
+        let publisher = TestClient::new(pub_addr, rig.broker_addr, "wrap-pub");
+        rig.sim.bind(pub_addr, publisher.clone());
+        publisher.borrow_mut().conn.connect_persistent(&mut rig.sim, None);
+        rig.sim.run_to_completion();
+        // Crash the broker and publish into the outage: pids 65534, 65535,
+        // 1 and 2 stay in flight until the transport gives up.
+        let snaps = rig.broker.borrow().export_sessions();
+        rig.sim.unbind(rig.broker_addr);
+        publisher.borrow_mut().conn.set_next_pid(65_534);
+        for pid in ["65534", "65535", "1", "2"] {
+            let mut p = publisher.borrow_mut();
+            let got = p.conn.publish(&mut rig.sim, "w/t", pid.as_bytes(), QoS::AtLeastOnce, false);
+            assert_eq!(got.map(|g| g.to_string()).as_deref(), Some(pid));
+        }
+        rig.sim.run_for(SimDuration::from_secs(4));
+        assert!(publisher.borrow().events.contains(&ClientEvent::BrokerLost));
+        assert_eq!(publisher.borrow().conn.unacked_publishes(), 4);
+        // A restarted broker resumes the session; the DUP resends reach a
+        // subscriber in the order the client sent them.
+        let broker2 = Broker::new(rig.broker_addr);
+        broker2.borrow_mut().import_sessions(snaps);
+        rig.sim.bind(rig.broker_addr, broker2.clone());
+        rig.broker = broker2;
+        let (sub, _) = rig.client("order-sub");
+        sub.borrow_mut().conn.subscribe(&mut rig.sim, &[("w/t", QoS::AtMostOnce)]);
+        rig.sim.run_to_completion();
+        publisher.borrow_mut().conn.connect(&mut rig.sim, None);
+        rig.sim.run_to_completion();
+        assert!(publisher.borrow().events.contains(&ClientEvent::Connected { session_present: true }));
+        assert_eq!(publisher.borrow().conn.unacked_publishes(), 0);
+        let got: Vec<Vec<u8>> = sub.borrow().messages().into_iter().map(|(_, p)| p).collect();
+        let want: Vec<Vec<u8>> = ["1", "2", "65534", "65535"].map(|p| p.as_bytes().to_vec()).into();
+        assert_eq!(got, want, "DUP resends go out in pid order");
     }
 }

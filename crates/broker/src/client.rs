@@ -2,7 +2,7 @@
 //! and applications (they own the [`digibox_net::Service`] binding and
 //! forward datagrams/timers here).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use bytes::Bytes;
 
@@ -10,6 +10,7 @@ use digibox_net::transport::{ReliableEndpoint, TransportEvent};
 use digibox_net::{Addr, Datagram, Sim, TimerToken};
 
 use crate::packet::{ConnectFlags, Packet, PublishRef, QoS};
+use crate::pidmap::PidMap;
 
 /// Events surfaced to the owner of an [`MqttConn`].
 #[derive(Debug, Clone, PartialEq)]
@@ -78,7 +79,7 @@ pub struct MqttConn {
     next_pid: u16,
     /// QoS 1/2 publishes whose handshake is incomplete, in pid order so
     /// resumption retransmits deterministically.
-    outbound: BTreeMap<u16, OutboundPublish>,
+    outbound: PidMap<OutboundPublish>,
     /// Packet ids of inbound QoS-2 publishes received but not yet
     /// released (PUBREL pending) — the receiver-side dedup set.
     inbound_rec: BTreeSet<u16>,
@@ -95,7 +96,7 @@ impl MqttConn {
             state: State::Idle,
             clean_session: true,
             next_pid: 1,
-            outbound: BTreeMap::new(),
+            outbound: PidMap::new(),
             inbound_rec: BTreeSet::new(),
             events: VecDeque::new(),
         }
@@ -260,12 +261,12 @@ impl MqttConn {
 
     /// Retransmit in-flight QoS 1/2 state after the broker resumed our
     /// session: unacknowledged publishes go out again with DUP set, and
-    /// half-released QoS 2 pids re-send their PUBREL. Pid order (BTreeMap)
-    /// keeps the retransmit schedule deterministic.
+    /// half-released QoS 2 pids re-send their PUBREL. Pid order keeps the
+    /// retransmit schedule deterministic.
     fn retransmit_inflight(&mut self, sim: &mut Sim) {
-        let pids: Vec<u16> = self.outbound.keys().copied().collect();
-        for pid in pids {
-            let ob = self.outbound[&pid].clone();
+        let resend: Vec<(u16, OutboundPublish)> =
+            self.outbound.iter().map(|(pid, ob)| (pid, ob.clone())).collect();
+        for (pid, ob) in resend {
             if ob.released {
                 self.send_packet(sim, &Packet::PubRel { packet_id: pid });
             } else {
@@ -325,11 +326,11 @@ impl MqttConn {
                 }
             }
             Packet::PubAck { packet_id } => {
-                self.outbound.remove(&packet_id);
+                self.outbound.remove(packet_id);
                 self.events.push_back(ClientEvent::PubAck { packet_id });
             }
             Packet::PubRec { packet_id } => {
-                if let Some(ob) = self.outbound.get_mut(&packet_id) {
+                if let Some(ob) = self.outbound.get_mut(packet_id) {
                     ob.released = true;
                 }
                 self.send_packet(sim, &Packet::PubRel { packet_id });
@@ -339,7 +340,7 @@ impl MqttConn {
                 self.send_packet(sim, &Packet::PubComp { packet_id });
             }
             Packet::PubComp { packet_id } => {
-                let completed = self.outbound.remove(&packet_id).is_some();
+                let completed = self.outbound.remove(packet_id).is_some();
                 if completed {
                     self.events.push_back(ClientEvent::PubComp { packet_id });
                 }
@@ -360,5 +361,13 @@ impl MqttConn {
     /// Pop the next pending event.
     pub fn poll(&mut self) -> Option<ClientEvent> {
         self.events.pop_front()
+    }
+}
+
+#[cfg(test)]
+impl MqttConn {
+    /// Make `pid` the next packet id (tests of the 65535 → 1 wrap).
+    pub(crate) fn set_next_pid(&mut self, pid: u16) {
+        self.next_pid = pid;
     }
 }

@@ -27,6 +27,7 @@ mod broker;
 mod client;
 pub mod fuzz;
 pub mod packet;
+mod pidmap;
 mod topic;
 
 pub use broker::{Broker, BrokerStats, OutboundSnapshot, SessionSnapshot};

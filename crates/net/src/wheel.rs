@@ -16,11 +16,16 @@
 //! are opened; entries pushed into the bucket currently being drained are
 //! placed by binary search.
 //!
-//! Allocation churn: slot buffers are `VecDeque`s that are *swapped*, never
-//! dropped — the drained current bucket donates its capacity back to the
-//! slot it came from, so after warm-up the steady-state push/pop cycle of a
-//! periodic workload performs no allocation at all (this is the event-struct
-//! free list: storage is recycled in place instead of boxed per event).
+//! Memory: a slot owns a buffer only while it holds entries. Opening a
+//! level-0 slot moves its buffer into `current` and drops the drained one,
+//! and a cascaded slot's buffer is dropped once its entries are re-filed.
+//! The wheel's capacity is therefore bounded by the events queued now
+//! (an occupied slot holds at most twice its entries, or four) rather than
+//! by the most each of its 768 slots ever held. The cost is one allocation
+//! per slot fill, plus a reallocation each time a filling slot doubles,
+//! where recycling every buffer allocated nothing after warm-up. The
+//! overflow heap keeps its capacity; only events over ~18 min ahead land
+//! there.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -211,11 +216,11 @@ impl<T> EventWheel<T> {
     fn advance(&mut self) {
         while self.current.is_empty() {
             if let Some(s) = self.first_occupied(0) {
-                // Open the slot as the new current bucket; the old (empty)
-                // current buffer is swapped in, recycling its capacity.
+                // Open the slot as the new current bucket; the drained
+                // current buffer is dropped and the slot left unallocated.
                 self.base = (self.base & !(SLOTS as u64 - 1)) | s as u64;
                 self.occupancy[0][s / 64] &= !(1 << (s % 64));
-                std::mem::swap(&mut self.current, &mut self.levels[0][s]);
+                self.current = std::mem::take(&mut self.levels[0][s]);
                 self.current.make_contiguous().sort_unstable_by_key(|e| e.key());
                 return;
             }
@@ -226,11 +231,9 @@ impl<T> EventWheel<T> {
                     self.base = (self.base & !((1u64 << span) - 1))
                         | ((s as u64) << (l as u32 * SLOT_BITS));
                     self.occupancy[l][s / 64] &= !(1 << (s % 64));
-                    let mut q = std::mem::take(&mut self.levels[l][s]);
-                    for e in q.drain(..) {
+                    for e in std::mem::take(&mut self.levels[l][s]) {
                         self.file(e);
                     }
-                    self.levels[l][s] = q; // give the (empty) buffer back
                     cascaded = true;
                     break;
                 }
@@ -262,6 +265,13 @@ impl<T> EventWheel<T> {
             }
         }
         None
+    }
+
+    /// Whether every slot without entries holds no buffer either (the
+    /// memory bound above; `current` is exempt until the next slot opens).
+    #[cfg(test)]
+    fn empty_slots_are_unallocated(&self) -> bool {
+        self.levels.iter().flatten().all(|q| !q.is_empty() || q.capacity() == 0)
     }
 }
 
@@ -334,12 +344,16 @@ mod tests {
                     }
                 }
                 assert_eq!(wheel.len(), reference.heap.len());
+                if step % 64 == 0 {
+                    assert!(wheel.empty_slots_are_unallocated(), "seed {seed} step {step}");
+                }
             }
             // drain
             while let Some(w) = reference.pop() {
                 assert_eq!(wheel.pop(), Some(w));
             }
             assert!(wheel.is_empty());
+            assert!(wheel.empty_slots_are_unallocated(), "seed {seed} after the drain");
             assert_eq!(wheel.pop(), None);
         }
     }
