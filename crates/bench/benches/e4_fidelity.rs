@@ -25,11 +25,10 @@ fn build(fidelity: FidelityMode, seed: u64) -> (Testbed, SmartBuildingApp) {
 }
 
 fn consistency_rate(fidelity: FidelityMode) -> f64 {
-    // independent seeds → independent testbeds → parallel shards
-    let shards = digibox_bench::parallel_sweep(&[1, 2, 3], |seed| {
+    let mut consistent = 0u32;
+    let mut samples = 0u32;
+    for seed in [1, 2, 3] {
         let (mut tb, mut app) = build(fidelity, seed);
-        let mut consistent = 0u32;
-        let mut samples = 0u32;
         for _ in 0..120 {
             tb.run_for(SimDuration::from_millis(500));
             app.step(&mut tb);
@@ -38,10 +37,7 @@ fn consistency_rate(fidelity: FidelityMode) -> f64 {
                 consistent += u32::from(ok);
             }
         }
-        (consistent, samples)
-    });
-    let (consistent, samples) =
-        shards.into_iter().fold((0u32, 0u32), |(c, s), (dc, ds)| (c + dc, s + ds));
+    }
     consistent as f64 / samples.max(1) as f64
 }
 

@@ -17,20 +17,21 @@ use digibox_core::campaign::Campaign;
 use digibox_core::islands::{IslandEnv, IslandSpec};
 use digibox_core::properties::DigiCondition;
 use digibox_core::{Condition, SceneProperty, Testbed, TestbedConfig};
-use digibox_devices::full_catalog;
+use digibox_devices::{demo_room, full_catalog};
 use digibox_model::json::{self, JsonError, ToValue};
 use digibox_model::{vmap, Value};
 use digibox_net::chaos::{FaultKind, FaultPlan, FaultSpec};
 use digibox_net::SimDuration;
 
-use crate::Outcome;
+use crate::{parse_seeds, Outcome};
 
 const CHAOS_USAGE: &str = "\
 usage:
   dbox chaos                      run the built-in demo campaign
   dbox chaos --plan <plan.json>   run a fault plan from a file
 options:
-  --seeds 1,2,3                   seeds to sweep (default 1,2,3)
+  --seeds 1,2,3 | --seeds 1..3    seeds to sweep (a..b is inclusive;
+                                  default 1,2,3)
   --jobs N                        worker threads (0 = all cores, default 1);
                                   the scorecard digest is identical for any N
   --islands N                     space-parallel mode (DESIGN.md §15): run the
@@ -71,13 +72,7 @@ fn run_inner(args: &[String]) -> Result<Outcome, String> {
             }
             "--seeds" => {
                 let list = it.next().ok_or(format!("--seeds needs a list\n{CHAOS_USAGE}"))?;
-                seeds = list
-                    .split(',')
-                    .map(|s| s.trim().parse::<u64>().map_err(|_| format!("bad seed {s:?}")))
-                    .collect::<Result<_, _>>()?;
-                if seeds.is_empty() {
-                    return Err(format!("--seeds list is empty\n{CHAOS_USAGE}"));
-                }
+                seeds = parse_seeds(list)?;
             }
             "--jobs" => {
                 let n = it.next().ok_or(format!("--jobs needs a number\n{CHAOS_USAGE}"))?;
@@ -119,9 +114,8 @@ fn run_inner(args: &[String]) -> Result<Outcome, String> {
     let campaign = Campaign::new(plan)?;
     let scorecard = match islands {
         Some(workers) => campaign.run_islands(&seeds, jobs, workers, demo_islands_specs),
-        None => campaign.run_jobs(&seeds, jobs, demo_testbed),
-    }
-    .map_err(|e| e.to_string())?;
+        None => campaign.run_jobs(&seeds, jobs, demo_room),
+    };
     if let Some(path) = out_file {
         std::fs::write(&path, scorecard.to_json()).map_err(|e| format!("{path}: {e}"))?;
     }
@@ -255,33 +249,6 @@ fn demo_plan() -> FaultPlan {
             jitter_ms: 3_000,
             kind: FaultKind::Degrade { loss: 0.2, extra_delay_ms: 10, extra_jitter_ms: 5 },
         })
-}
-
-/// The demo setup every plan runs against: a two-node cluster with a room
-/// scene driving an occupancy sensor and a lamp, plus the paper's
-/// lamp-follows-vacancy property. Broker keep-alive is on so partitioned
-/// sessions are reaped and can reconnect cleanly after the heal.
-fn demo_testbed(seed: u64) -> digibox_core::Result<Testbed> {
-    let config = TestbedConfig {
-        seed,
-        broker_session_timeout: Some(SimDuration::from_secs(2)),
-        ..Default::default()
-    };
-    let mut tb = Testbed::ec2(2, full_catalog(), config);
-    tb.run_with("Occupancy", "O1", Default::default(), true)?;
-    tb.run_with("Room", "R1", Default::default(), false)?;
-    tb.run_with("Lamp", "L1", Default::default(), false)?;
-    tb.run_for(SimDuration::from_secs(1));
-    tb.attach("O1", "R1")?;
-    tb.attach("L1", "R1")?;
-    tb.add_property(SceneProperty::leads_to(
-        "lamp-follows-vacancy",
-        vec![DigiCondition::new("O1", Condition::eq("triggered", false))],
-        vec![DigiCondition::new("L1", Condition::eq("power.status", "off"))],
-        SimDuration::from_secs(5),
-    ));
-    tb.run_for(SimDuration::from_secs(2));
-    Ok(tb)
 }
 
 /// The space-parallel demo: the same room scene twice, one complete copy
@@ -503,6 +470,14 @@ mod tests {
         let b = run_args(&["--seeds", "1,2", "--jobs", "4", "--format", "json"]);
         assert_eq!(a.code, 0, "{}", a.stdout);
         assert_eq!(a.stdout, b.stdout, "parallel scorecard must be byte-identical");
+    }
+
+    #[test]
+    fn seed_range_matches_seed_list() {
+        let range = run_args(&["--seeds", "1..2", "--format", "json"]);
+        let list = run_args(&["--seeds", "1,2", "--format", "json"]);
+        assert_eq!(range.code, 0, "{}", range.stdout);
+        assert_eq!(range.stdout, list.stdout, "1..2 must run the same seeds as 1,2");
     }
 
     #[test]

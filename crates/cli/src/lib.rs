@@ -262,6 +262,23 @@ pub fn parse_kv_args(args: &[String]) -> Result<Value, String> {
     Ok(Value::Map(map))
 }
 
+/// Parse a `--seeds` value for `sweep` and `chaos`: a comma list
+/// (`1,2,3`) or an inclusive range (`a..b`).
+fn parse_seeds(list: &str) -> Result<Vec<u64>, String> {
+    let list = list.trim();
+    if let Some((a, b)) = list.split_once("..") {
+        let a: u64 = a.trim().parse().map_err(|_| format!("bad range start {a:?}"))?;
+        let b: u64 = b.trim().parse().map_err(|_| format!("bad range end {b:?}"))?;
+        if a > b {
+            return Err(format!("empty seed range {a}..{b}"));
+        }
+        return Ok((a..=b).collect());
+    }
+    list.split(',')
+        .map(|s| s.trim().parse::<u64>().map_err(|_| format!("bad seed {s:?}")))
+        .collect()
+}
+
 /// The outcome of one CLI invocation (what `main` prints).
 pub struct Outcome {
     pub stdout: String,
@@ -331,7 +348,7 @@ usage:
   dbox pull <setup> --from <dir>                 pull + recreate a setup
   dbox lint [--library|--file <setup.dml>]       static-analyze the ensemble
   dbox audit [--format json] [--allow CODE] [paths...]  determinism audit of the simulation sources
-  dbox chaos [--plan <plan.json>] [--seeds 1,2] [--islands N]  fault campaign + scorecard
+  dbox chaos [--plan <plan.json>] [--seeds 1..3] [--islands N]  fault campaign + scorecard
   dbox sweep [--seeds 1..16] [--jobs N] [--pool T:P:N] [--islands N]  parallel seed sweep + report
   dbox fuzz [--seeds 1,2,3] [--iters N]          seeded MQTT codec fuzzer
   dbox stats [--format json|pretty]              deterministic metrics snapshot

@@ -17,14 +17,13 @@
 use std::path::Path;
 
 use digibox_core::islands::{self, IslandEnv, IslandSpec};
-use digibox_core::properties::DigiCondition;
 use digibox_core::sweep::sweep;
-use digibox_core::{Condition, SceneProperty, Testbed, TestbedConfig};
-use digibox_devices::full_catalog;
+use digibox_core::{Testbed, TestbedConfig};
+use digibox_devices::{full_catalog, lamp_follows_vacancy};
 use digibox_model::json::quote as json_str;
 use digibox_net::SimDuration;
 
-use crate::Outcome;
+use crate::{parse_seeds, Outcome};
 
 const SWEEP_USAGE: &str = "\
 usage:
@@ -69,6 +68,7 @@ struct PoolSpec {
 }
 
 /// Per-seed observations, all taken from the seed's own isolated testbed.
+#[derive(Default)]
 struct SeedRow {
     seed: u64,
     violations: u64,
@@ -82,6 +82,41 @@ struct SeedRow {
     /// Same-instant deliveries the kernel coalesced into batches
     /// (`kernel.batched_deliveries`) — nonzero whenever pools run.
     batched_deliveries: u64,
+}
+
+impl SeedRow {
+    /// Read the counters off the testbed that ran `seed` (or off one of
+    /// its islands).
+    fn read(seed: u64, tb: &mut Testbed) -> SeedRow {
+        let violations = tb.violations().len() as u64;
+        let records = tb.log().records().len() as u64;
+        let (publishes_in, publishes_out) = {
+            let b = tb.broker().borrow();
+            (b.stats().publishes_in, b.stats().publishes_out)
+        };
+        let snap = tb.obs_snapshot();
+        SeedRow {
+            seed,
+            violations,
+            records,
+            publishes_in,
+            publishes_out,
+            kernel_events: snap.counter("kernel.events"),
+            handler_runs: snap.counter("digi.on_loop") + snap.counter("digi.on_model"),
+            batched_deliveries: snap.counter("kernel.batched_deliveries"),
+        }
+    }
+
+    /// Add one island's counters into this seed's row.
+    fn add(&mut self, island: &SeedRow) {
+        self.violations += island.violations;
+        self.records += island.records;
+        self.publishes_in += island.publishes_in;
+        self.publishes_out += island.publishes_out;
+        self.kernel_events += island.kernel_events;
+        self.handler_runs += island.handler_runs;
+        self.batched_deliveries += island.batched_deliveries;
+    }
 }
 
 /// The merged sweep report: canonical JSON + sha256 digest, mirroring the
@@ -267,26 +302,7 @@ fn run_inner(args: &[String]) -> Result<Outcome, String> {
         let mut tb =
             build_testbed(seed, &runs, &pools, &attaches, demo).map_err(|e| e.to_string())?;
         tb.run_for(SimDuration::from_secs(secs));
-        let violations = tb.violations().len() as u64;
-        let records = tb.log().records().len() as u64;
-        let (publishes_in, publishes_out) = {
-            let b = tb.broker().borrow();
-            (b.stats().publishes_in, b.stats().publishes_out)
-        };
-        let snap = tb.obs_snapshot();
-        let kernel_events = snap.counter("kernel.events");
-        let handler_runs = snap.counter("digi.on_loop") + snap.counter("digi.on_model");
-        let batched_deliveries = snap.counter("kernel.batched_deliveries");
-        Ok(SeedRow {
-            seed,
-            violations,
-            records,
-            publishes_in,
-            publishes_out,
-            kernel_events,
-            handler_runs,
-            batched_deliveries,
-        })
+        Ok(SeedRow::read(seed, &mut tb))
     });
 
     let mut per_seed = Vec::new();
@@ -311,27 +327,6 @@ fn run_inner(args: &[String]) -> Result<Outcome, String> {
         2
     };
     Ok(Outcome { stdout, code })
-}
-
-/// `1,2,3` or `a..b` (inclusive range).
-fn parse_seeds(list: &str) -> Result<Vec<u64>, String> {
-    let list = list.trim();
-    if let Some((a, b)) = list.split_once("..") {
-        let a: u64 = a.trim().parse().map_err(|_| format!("bad range start {a:?}"))?;
-        let b: u64 = b.trim().parse().map_err(|_| format!("bad range end {b:?}"))?;
-        if a > b {
-            return Err(format!("empty seed range {a}..{b}"));
-        }
-        return Ok((a..=b).collect());
-    }
-    let seeds: Vec<u64> = list
-        .split(',')
-        .map(|s| s.trim().parse::<u64>().map_err(|_| format!("bad seed {s:?}")))
-        .collect::<Result<_, _>>()?;
-    if seeds.is_empty() {
-        return Err(format!("--seeds list is empty\n{SWEEP_USAGE}"));
-    }
-    Ok(seeds)
 }
 
 fn parse_pool_spec(spec: &str) -> Result<PoolSpec, String> {
@@ -421,12 +416,7 @@ fn island_sweep_row(
                 tb.attach(child, parent)?;
             }
             if demo {
-                tb.add_property(SceneProperty::leads_to(
-                    "lamp-follows-vacancy",
-                    vec![DigiCondition::new("O1", Condition::eq("triggered", false))],
-                    vec![DigiCondition::new("L1", Condition::eq("power.status", "off"))],
-                    SimDuration::from_secs(5),
-                ));
+                tb.add_property(lamp_follows_vacancy());
             }
             tb.run_for(SimDuration::from_secs(1));
             Ok(tb)
@@ -451,43 +441,11 @@ fn island_sweep_row(
         workers,
         SimDuration::from_secs(secs),
         &[],
-        |_, tb, _t0| {
-            let violations = tb.violations().len() as u64;
-            let records = tb.log().records().len() as u64;
-            let (publishes_in, publishes_out) = {
-                let b = tb.broker().borrow();
-                (b.stats().publishes_in, b.stats().publishes_out)
-            };
-            let snap = tb.obs_snapshot();
-            [
-                violations,
-                records,
-                publishes_in,
-                publishes_out,
-                snap.counter("kernel.events"),
-                snap.counter("digi.on_loop") + snap.counter("digi.on_model"),
-                snap.counter("kernel.batched_deliveries"),
-            ]
-        },
+        |_, tb, _t0| SeedRow::read(seed, tb),
     )?;
-    let mut row = SeedRow {
-        seed,
-        violations: 0,
-        records: 0,
-        publishes_in: 0,
-        publishes_out: 0,
-        kernel_events: 0,
-        handler_runs: 0,
-        batched_deliveries: 0,
-    };
-    for [v, r, pi, po, ke, hr, bd] in run.results {
-        row.violations += v;
-        row.records += r;
-        row.publishes_in += pi;
-        row.publishes_out += po;
-        row.kernel_events += ke;
-        row.handler_runs += hr;
-        row.batched_deliveries += bd;
+    let mut row = SeedRow { seed, ..SeedRow::default() };
+    for island in &run.results {
+        row.add(island);
     }
     Ok(row)
 }
@@ -514,12 +472,7 @@ fn build_testbed(
         tb.attach(child, parent)?;
     }
     if demo {
-        tb.add_property(SceneProperty::leads_to(
-            "lamp-follows-vacancy",
-            vec![DigiCondition::new("O1", Condition::eq("triggered", false))],
-            vec![DigiCondition::new("L1", Condition::eq("power.status", "off"))],
-            SimDuration::from_secs(5),
-        ));
+        tb.add_property(lamp_follows_vacancy());
     }
     tb.run_for(SimDuration::from_secs(1));
     Ok(tb)

@@ -226,25 +226,16 @@ impl Campaign {
         &self.plan
     }
 
-    /// Run the plan once per seed on one core, building a fresh testbed
-    /// each time via `build` (which should configure digis, properties,
-    /// and — for partition plans — a broker session timeout so stale
-    /// sessions clear). Equivalent to [`Campaign::run_jobs`] with
-    /// `jobs = 1`; the scorecard is byte-identical either way.
-    pub fn run<F>(&self, seeds: &[u64], build: F) -> crate::Result<Scorecard>
-    where
-        F: Fn(u64) -> crate::Result<Testbed> + Sync,
-    {
-        self.run_jobs(seeds, 1, build)
-    }
-
     /// Run the plan once per seed across `jobs` worker threads (`0` = one
-    /// per core) on the [`sweep`] engine. Every worker builds its own
-    /// isolated testbed/kernel and reports are merged in canonical seed
-    /// order, so the scorecard — and its digest — is byte-identical for
-    /// any `jobs` value. A seed whose builder fails or whose run panics
-    /// becomes a [`SeedFailure`] entry instead of aborting the sweep.
-    pub fn run_jobs<F>(&self, seeds: &[u64], jobs: usize, build: F) -> crate::Result<Scorecard>
+    /// per core) on the [`sweep`] engine, building a fresh testbed each
+    /// time via `build` (which should configure digis, properties, and —
+    /// for partition plans — a broker session timeout so stale sessions
+    /// clear). Every worker builds its own isolated testbed/kernel and
+    /// reports are merged in canonical seed order, so the scorecard — and
+    /// its digest — is byte-identical for any `jobs` value. A seed whose
+    /// builder fails or whose run panics becomes a [`SeedFailure`] entry
+    /// instead of aborting the sweep.
+    pub fn run_jobs<F>(&self, seeds: &[u64], jobs: usize, build: F) -> Scorecard
     where
         F: Fn(u64) -> crate::Result<Testbed> + Sync,
     {
@@ -252,7 +243,7 @@ impl Campaign {
             let mut tb = build(seed).map_err(|e| e.to_string())?;
             Ok(self.run_seed(seed, &mut tb))
         });
-        Ok(self.scorecard(outcome))
+        self.scorecard(outcome)
     }
 
     /// Run the plan once per seed with each run executed space-parallel
@@ -272,7 +263,7 @@ impl Campaign {
         jobs: usize,
         workers: usize,
         specs_for: F,
-    ) -> crate::Result<Scorecard>
+    ) -> Scorecard
     where
         F: Fn(u64) -> Vec<IslandSpec> + Sync,
     {
@@ -301,7 +292,7 @@ impl Campaign {
             )?;
             Ok(merge_island_reports(seed, run.results))
         });
-        Ok(self.scorecard(outcome))
+        self.scorecard(outcome)
     }
 
     /// Merge a sweep's per-seed outcomes, in seed order, into the

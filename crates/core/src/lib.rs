@@ -73,7 +73,7 @@ pub use islands::{IslandEnv, IslandSpec, IslandsRun};
 pub use pool::{DigiPool, PoolStats};
 pub use program::{DigiProgram, LoopCtx, SimCtx};
 pub use properties::{Condition, PropertyChecker, SceneProperty, Temporal};
-pub use sweep::{parallel_sweep, SeedError, SeedRun, SweepOutcome};
+pub use sweep::{SeedError, SeedRun, SweepOutcome};
 pub use testbed::{FidelityMode, Testbed, TestbedConfig, TestbedError};
 
 /// Crate-wide result type.

@@ -180,24 +180,6 @@ where
     SweepOutcome { runs, jobs }
 }
 
-/// Infallible convenience wrapper with the bench crate's historical
-/// contract: run `f` per seed on all cores, return plain results in seed
-/// order, and propagate any per-seed panic to the caller.
-pub fn parallel_sweep<R, F>(seeds: &[u64], f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(u64) -> R + Sync,
-{
-    sweep(seeds, 0, |seed| Ok(f(seed)))
-        .runs
-        .into_iter()
-        .map(|run| match run.result {
-            Ok(v) => v,
-            Err(e) => panic!("sweep seed {} failed: {e}", run.seed),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod sweep_tests {
     use super::*;
@@ -313,24 +295,5 @@ mod sweep_tests {
         assert_eq!(out.jobs, 1, "one seed needs one worker regardless of cores");
         assert!(resolve_jobs(0) >= 1);
         assert_eq!(resolve_jobs(3), 3);
-    }
-
-    #[test]
-    fn parallel_sweep_keeps_seed_order() {
-        let seeds: Vec<u64> = (0..32).rev().collect();
-        let got = parallel_sweep(&seeds, mix);
-        let want: Vec<u64> = seeds.iter().map(|&s| mix(s)).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    #[should_panic(expected = "sweep seed 3 failed")]
-    fn parallel_sweep_propagates_panics() {
-        parallel_sweep(&[1, 2, 3], |s| {
-            if s == 3 {
-                panic!("kaboom");
-            }
-            s
-        });
     }
 }

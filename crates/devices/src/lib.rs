@@ -59,7 +59,9 @@ pub mod mocks;
 pub mod physics;
 pub mod scenes;
 
-use digibox_core::{Catalog, DigiProgram};
+use digibox_core::properties::DigiCondition;
+use digibox_core::{Catalog, Condition, DigiProgram, SceneProperty, Testbed, TestbedConfig};
+use digibox_net::SimDuration;
 
 /// Register every built-in mock and scene into `catalog`.
 pub fn register_all(catalog: &mut Catalog) {
@@ -72,6 +74,40 @@ pub fn full_catalog() -> Catalog {
     let mut c = Catalog::new();
     register_all(&mut c);
     c
+}
+
+/// The paper's example scene property on [`demo_room`]: once `O1`
+/// reports the room vacant, `L1` must be off within 5 s.
+pub fn lamp_follows_vacancy() -> SceneProperty {
+    SceneProperty::leads_to(
+        "lamp-follows-vacancy",
+        vec![DigiCondition::new("O1", Condition::eq("triggered", false))],
+        vec![DigiCondition::new("L1", Condition::eq("power.status", "off"))],
+        SimDuration::from_secs(5),
+    )
+}
+
+/// The demo room that `dbox chaos` and the campaign tests run against: a
+/// two-node cluster where room `R1` drives a managed occupancy sensor
+/// `O1` and a lamp `L1`, plus [`lamp_follows_vacancy`]. Broker keep-alive is 2 s, so
+/// partitioned sessions are reaped and can reconnect cleanly after the
+/// heal.
+pub fn demo_room(seed: u64) -> digibox_core::Result<Testbed> {
+    let config = TestbedConfig {
+        seed,
+        broker_session_timeout: Some(SimDuration::from_secs(2)),
+        ..Default::default()
+    };
+    let mut tb = Testbed::ec2(2, full_catalog(), config);
+    tb.run_with("Occupancy", "O1", Default::default(), true)?;
+    tb.run_with("Room", "R1", Default::default(), false)?;
+    tb.run_with("Lamp", "L1", Default::default(), false)?;
+    tb.run_for(SimDuration::from_secs(1));
+    tb.attach("O1", "R1")?;
+    tb.attach("L1", "R1")?;
+    tb.add_property(lamp_follows_vacancy());
+    tb.run_for(SimDuration::from_secs(2));
+    Ok(tb)
 }
 
 /// Helper used by the registration macros below.

@@ -6,38 +6,12 @@ use std::collections::BTreeMap;
 
 use digibox_broker::QoS;
 use digibox_core::campaign::Campaign;
-use digibox_core::properties::DigiCondition;
-use digibox_core::{AppEvent, Condition, SceneProperty, Testbed, TestbedConfig};
-use digibox_devices::full_catalog;
+use digibox_core::{AppEvent, Testbed, TestbedConfig};
+use digibox_devices::{demo_room, full_catalog};
 use digibox_model::Value;
 use digibox_net::chaos::{FaultKind, FaultPlan, FaultSpec};
 use digibox_net::SimDuration;
 use digibox_trace::RecordKind;
-
-/// A two-node room ensemble with the paper's lamp-follows-vacancy
-/// property — the fixture every campaign in this file runs against.
-fn room_testbed(seed: u64) -> digibox_core::Result<Testbed> {
-    let config = TestbedConfig {
-        seed,
-        broker_session_timeout: Some(SimDuration::from_secs(2)),
-        ..Default::default()
-    };
-    let mut tb = Testbed::ec2(2, full_catalog(), config);
-    tb.run_with("Occupancy", "O1", Default::default(), true)?;
-    tb.run_with("Room", "R1", Default::default(), false)?;
-    tb.run_with("Lamp", "L1", Default::default(), false)?;
-    tb.run_for(SimDuration::from_secs(1));
-    tb.attach("O1", "R1")?;
-    tb.attach("L1", "R1")?;
-    tb.add_property(SceneProperty::leads_to(
-        "lamp-follows-vacancy",
-        vec![DigiCondition::new("O1", Condition::eq("triggered", false))],
-        vec![DigiCondition::new("L1", Condition::eq("power.status", "off"))],
-        SimDuration::from_secs(5),
-    ));
-    tb.run_for(SimDuration::from_secs(2));
-    Ok(tb)
-}
 
 fn mixed_plan() -> FaultPlan {
     FaultPlan::new("mixed", 40_000, 5_000)
@@ -64,20 +38,20 @@ fn mixed_plan() -> FaultPlan {
 #[test]
 fn scorecard_digest_is_deterministic() {
     let campaign = Campaign::new(mixed_plan()).unwrap();
-    let a = campaign.run(&[1, 2], room_testbed).unwrap();
-    let b = campaign.run(&[1, 2], room_testbed).unwrap();
+    let a = campaign.run_jobs(&[1, 2], 1, demo_room);
+    let b = campaign.run_jobs(&[1, 2], 1, demo_room);
     assert_eq!(a.digest(), b.digest(), "same plan + seeds must give an identical scorecard");
     assert_eq!(a.to_json(), b.to_json());
 
     // a different seed takes a different trajectory (jittered windows,
     // different crash timing) — the digest must reflect that
-    let c = campaign.run(&[3], room_testbed).unwrap();
+    let c = campaign.run_jobs(&[3], 1, demo_room);
     assert_ne!(a.digest(), c.digest());
 }
 
 #[test]
 fn restart_restores_checkpointed_model() {
-    let mut tb = room_testbed(7).unwrap();
+    let mut tb = demo_room(7).unwrap();
     // drive the lamp on, then cross a checkpoint boundary (every 5 s by
     // default) so the "on" state lands in a snapshot
     tb.edit("L1", digibox_model::vmap! { "power" => "on" }).unwrap();
@@ -213,8 +187,8 @@ fn broker_crash_plan() -> FaultPlan {
 #[test]
 fn broker_crash_campaign_is_clean_and_jobs_invariant() {
     let campaign = Campaign::new(broker_crash_plan()).unwrap();
-    let a = campaign.run_jobs(&[1, 2], 1, room_testbed).unwrap();
-    let b = campaign.run_jobs(&[1, 2], 2, room_testbed).unwrap();
+    let a = campaign.run_jobs(&[1, 2], 1, demo_room);
+    let b = campaign.run_jobs(&[1, 2], 2, demo_room);
     assert_eq!(
         a.to_json(),
         b.to_json(),
@@ -246,7 +220,7 @@ fn broker_crash_campaign_is_clean_and_jobs_invariant() {
 #[test]
 fn library_campaign_is_clean_post_heal() {
     let campaign = Campaign::new(mixed_plan()).unwrap();
-    let scorecard = campaign.run(&[1, 2], room_testbed).unwrap();
+    let scorecard = campaign.run_jobs(&[1, 2], 1, demo_room);
 
     // the faults really happened...
     let restarts: u64 =

@@ -6,36 +6,8 @@
 //! aborting the rest of the sweep.
 
 use digibox_core::campaign::Campaign;
-use digibox_core::properties::DigiCondition;
-use digibox_core::{Condition, SceneProperty, Testbed, TestbedConfig};
-use digibox_devices::full_catalog;
+use digibox_devices::demo_room;
 use digibox_net::chaos::{FaultKind, FaultPlan, FaultSpec};
-use digibox_net::SimDuration;
-
-/// A two-node room ensemble with the paper's lamp-follows-vacancy
-/// property (same shape as tests/chaos.rs, shorter plan below).
-fn room_testbed(seed: u64) -> digibox_core::Result<Testbed> {
-    let config = TestbedConfig {
-        seed,
-        broker_session_timeout: Some(SimDuration::from_secs(2)),
-        ..Default::default()
-    };
-    let mut tb = Testbed::ec2(2, full_catalog(), config);
-    tb.run_with("Occupancy", "O1", Default::default(), true)?;
-    tb.run_with("Room", "R1", Default::default(), false)?;
-    tb.run_with("Lamp", "L1", Default::default(), false)?;
-    tb.run_for(SimDuration::from_secs(1));
-    tb.attach("O1", "R1")?;
-    tb.attach("L1", "R1")?;
-    tb.add_property(SceneProperty::leads_to(
-        "lamp-follows-vacancy",
-        vec![DigiCondition::new("O1", Condition::eq("triggered", false))],
-        vec![DigiCondition::new("L1", Condition::eq("power.status", "off"))],
-        SimDuration::from_secs(5),
-    ));
-    tb.run_for(SimDuration::from_secs(2));
-    Ok(tb)
-}
 
 fn short_plan() -> FaultPlan {
     FaultPlan::new("sweep-det", 12_000, 2_000).with(FaultSpec {
@@ -51,9 +23,9 @@ fn scorecard_is_byte_identical_across_jobs_counts() {
     let campaign = Campaign::new(short_plan()).unwrap();
     let seeds: Vec<u64> = (1..=6).collect();
 
-    let serial = campaign.run_jobs(&seeds, 1, room_testbed).unwrap();
-    let two = campaign.run_jobs(&seeds, 2, room_testbed).unwrap();
-    let all = campaign.run_jobs(&seeds, 0, room_testbed).unwrap();
+    let serial = campaign.run_jobs(&seeds, 1, demo_room);
+    let two = campaign.run_jobs(&seeds, 2, demo_room);
+    let all = campaign.run_jobs(&seeds, 0, demo_room);
 
     assert!(serial.errors.is_empty(), "{:?}", serial.errors);
     assert_eq!(serial.per_seed.len(), seeds.len());
@@ -71,11 +43,11 @@ fn panicking_seed_is_reported_without_aborting_the_sweep() {
         if seed == 13 {
             panic!("boom at seed 13");
         }
-        room_testbed(seed)
+        demo_room(seed)
     };
 
-    let serial = campaign.run_jobs(&seeds, 1, build).unwrap();
-    let parallel = campaign.run_jobs(&seeds, 2, build).unwrap();
+    let serial = campaign.run_jobs(&seeds, 1, build);
+    let parallel = campaign.run_jobs(&seeds, 2, build);
 
     // the healthy seeds completed, in canonical order
     let ran: Vec<u64> = serial.per_seed.iter().map(|s| s.seed).collect();
