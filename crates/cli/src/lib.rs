@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use digibox_core::{Dbox, Testbed, TestbedConfig};
+use digibox_core::{Testbed, TestbedConfig};
 use digibox_devices::full_catalog;
 use digibox_model::json::{self, FromValue, JsonError, ToValue};
 use digibox_model::{dml, vmap, Value};
@@ -158,10 +158,6 @@ impl FromValue for Session {
     }
 }
 
-/// How much virtual time a state-changing command implicitly advances
-/// (covers container start + message settling).
-const COMMAND_SETTLE_MS: u64 = 500;
-
 impl Session {
     pub fn new(seed: u64) -> Session {
         Session { seed, journal: Vec::new(), elapsed_ms: 0 }
@@ -189,62 +185,79 @@ impl Session {
 
     /// Deterministically re-materialize the testbed by replaying the
     /// journal on a fresh kernel.
-    pub fn materialize(&self) -> Result<Dbox, String> {
-        let tb = Testbed::laptop(
+    pub fn materialize(&self) -> Result<Testbed, String> {
+        let mut testbed = Testbed::laptop(
             full_catalog(),
             TestbedConfig { seed: self.seed, ..Default::default() },
         );
-        let mut dbox = Dbox::new(tb);
         for entry in &self.journal {
-            let now_ms = dbox.testbed().now().as_millis();
+            let now_ms = testbed.now().as_millis();
             if entry.at_ms > now_ms {
-                dbox.testbed().run_for(SimDuration::from_millis(entry.at_ms - now_ms));
+                testbed.run_for(SimDuration::from_millis(entry.at_ms - now_ms));
             }
-            apply(&mut dbox, &entry.command).map_err(|e| format!("replaying journal: {e}"))?;
+            apply(&mut testbed, &entry.command).map_err(|e| format!("replaying journal: {e}"))?;
         }
-        let now_ms = dbox.testbed().now().as_millis();
+        let now_ms = testbed.now().as_millis();
         if self.elapsed_ms > now_ms {
-            dbox.testbed().run_for(SimDuration::from_millis(self.elapsed_ms - now_ms));
+            testbed.run_for(SimDuration::from_millis(self.elapsed_ms - now_ms));
         }
-        Ok(dbox)
+        Ok(testbed)
     }
 
     /// Apply a new command on a materialized testbed and append it to the
     /// journal.
-    pub fn execute(&mut self, dbox: &mut Dbox, command: Command) -> Result<(), String> {
-        let at_ms = dbox.testbed().now().as_millis();
-        apply(dbox, &command)?;
+    pub fn execute(&mut self, testbed: &mut Testbed, command: Command) -> Result<(), String> {
+        let at_ms = testbed.now().as_millis();
+        apply(testbed, &command)?;
         self.journal.push(Entry { at_ms, command });
-        self.elapsed_ms = dbox.testbed().now().as_millis().max(self.elapsed_ms);
+        self.elapsed_ms = testbed.now().as_millis().max(self.elapsed_ms);
         Ok(())
     }
 
     /// Advance virtual time (persisted).
-    pub fn advance(&mut self, dbox: &mut Dbox, span: SimDuration) {
-        let at_ms = dbox.testbed().now().as_millis();
-        dbox.testbed().run_for(span);
+    pub fn advance(&mut self, testbed: &mut Testbed, span: SimDuration) {
+        let at_ms = testbed.now().as_millis();
+        testbed.run_for(span);
         self.journal.push(Entry { at_ms, command: Command::Advance });
-        self.elapsed_ms = dbox.testbed().now().as_millis();
+        self.elapsed_ms = testbed.now().as_millis();
     }
 }
 
-fn apply(dbox: &mut Dbox, command: &Command) -> Result<(), String> {
-    let as_str = |e: digibox_core::TestbedError| e.to_string();
+/// How much virtual time a command advances once applied: `run` lets the
+/// container start, `attach` lets the scene's mirror warm and `edit` lets
+/// the intent reach the digi, so the next command sees the result.
+fn settle_ms(command: &Command) -> u64 {
+    match command {
+        Command::Run { .. } => 500,
+        Command::Attach { .. } | Command::Edit { .. } => 200,
+        _ => 0,
+    }
+}
+
+fn apply(testbed: &mut Testbed, command: &Command) -> Result<(), String> {
     match command {
         Command::Run { kind, name, managed, params } => {
-            dbox.testbed().run_with(kind, name, params.clone(), *managed).map_err(as_str)?;
-            dbox.testbed().run_for(SimDuration::from_millis(COMMAND_SETTLE_MS));
-            Ok(())
+            testbed.run_with(kind, name, params.clone(), *managed)
         }
-        Command::Stop { name } => dbox.stop(name).map_err(as_str),
-        Command::Attach { child, parent } => dbox.attach(child, parent).map_err(as_str),
-        Command::Detach { child, parent } => dbox.detach(child, parent).map_err(as_str),
-        Command::Edit { name, updates } => dbox.edit(name, updates.clone()).map_err(as_str),
-        Command::SetManaged { name, managed } => {
-            dbox.testbed().set_managed(name, *managed).map_err(as_str)
-        }
+        Command::Stop { name } => testbed.stop(name),
+        Command::Attach { child, parent } => testbed.attach(child, parent),
+        Command::Detach { child, parent } => testbed.detach(child, parent),
+        Command::Edit { name, updates } => testbed.edit(name, updates.clone()),
+        Command::SetManaged { name, managed } => testbed.set_managed(name, *managed),
         Command::Advance => Ok(()),
     }
+    .map_err(|e| e.to_string())?;
+    let settle = settle_ms(command);
+    if settle > 0 {
+        testbed.run_for(SimDuration::from_millis(settle));
+    }
+    Ok(())
+}
+
+/// Open the workspace's content-addressed registry (`.dbox/registry`);
+/// a workspace with no registry yet gets an empty one.
+fn open_registry(dir: &Path) -> Result<Repository, String> {
+    Repository::load_from_dir(&Repository::default_dir(dir)).map_err(|e| e.to_string())
 }
 
 /// Parse `k=v` CLI arguments into a value map (DML scalar syntax for
@@ -383,31 +396,34 @@ fn invoke_inner(dir: &Path, args: &[String]) -> Result<String, String> {
                 .as_map()
                 .cloned()
                 .unwrap_or_default();
-            let mut dbox = session.materialize()?;
-            session.execute(&mut dbox, Command::Run { kind: kind.clone(), name: name.clone(), managed, params })?;
+            let mut testbed = session.materialize()?;
+            session.execute(&mut testbed, Command::Run { kind: kind.clone(), name: name.clone(), managed, params })?;
             session.save(dir)?;
             Ok(format!("running {kind} {name}\n"))
         }
         "stop" => {
             let name = args.get(1).ok_or("usage: dbox stop <name>")?.clone();
-            let mut dbox = session.materialize()?;
-            session.execute(&mut dbox, Command::Stop { name: name.clone() })?;
+            let mut testbed = session.materialize()?;
+            session.execute(&mut testbed, Command::Stop { name: name.clone() })?;
             session.save(dir)?;
             Ok(format!("stopped {name}\n"))
         }
         "check" => {
             let name = args.get(1).ok_or("usage: dbox check <name>")?;
-            let mut dbox = session.materialize()?;
-            let (_, rendered) = dbox.check(name).map_err(|e| e.to_string())?;
-            Ok(rendered)
+            let mut testbed = session.materialize()?;
+            let model = testbed.check(name).map_err(|e| e.to_string())?;
+            let doc = vmap! { "meta" => model.meta.to_value(), "fields" => model.fields().clone() };
+            Ok(dml::to_string(&doc))
         }
         "watch" => {
             let name = args.get(1).ok_or("usage: dbox watch <name> [secs]")?.clone();
             let secs: u64 = args.get(2).map(|s| s.parse().unwrap_or(5)).unwrap_or(5);
-            let mut dbox = session.materialize()?;
-            let mut handle = dbox.watch(&name).map_err(|e| e.to_string())?;
-            session.advance(&mut dbox, SimDuration::from_secs(secs));
-            let records = dbox.watch_poll(&name, &mut handle);
+            let mut testbed = session.materialize()?;
+            testbed.digi_addr(&name).map_err(|e| e.to_string())?; // existence check
+            let cursor = testbed.log().since(None).last().map(|r| r.seq);
+            session.advance(&mut testbed, SimDuration::from_secs(secs));
+            let mut records = testbed.log().since(cursor);
+            records.retain(|r| r.source == name);
             session.save(dir)?;
             let mut out = String::new();
             for r in &records {
@@ -422,21 +438,21 @@ fn invoke_inner(dir: &Path, args: &[String]) -> Result<String, String> {
             let base = if detach { 2 } else { 1 };
             let child = args.get(base).ok_or("usage: dbox attach [-d] <child> <scene>")?.clone();
             let parent = args.get(base + 1).ok_or("usage: dbox attach [-d] <child> <scene>")?.clone();
-            let mut dbox = session.materialize()?;
+            let mut testbed = session.materialize()?;
             let command = if detach {
                 Command::Detach { child: child.clone(), parent: parent.clone() }
             } else {
                 Command::Attach { child: child.clone(), parent: parent.clone() }
             };
-            session.execute(&mut dbox, command)?;
+            session.execute(&mut testbed, command)?;
             session.save(dir)?;
             Ok(format!("{} {child} {} {parent}\n", if detach { "detached" } else { "attached" }, if detach { "from" } else { "to" }))
         }
         "edit" => {
             let name = args.get(1).ok_or("usage: dbox edit <name> k=v ...")?.clone();
             let updates = parse_kv_args(&args[2..])?;
-            let mut dbox = session.materialize()?;
-            session.execute(&mut dbox, Command::Edit { name: name.clone(), updates })?;
+            let mut testbed = session.materialize()?;
+            session.execute(&mut testbed, Command::Edit { name: name.clone(), updates })?;
             session.save(dir)?;
             Ok(format!("edited {name}\n"))
         }
@@ -446,16 +462,16 @@ fn invoke_inner(dir: &Path, args: &[String]) -> Result<String, String> {
                 .ok_or("usage: dbox sim <secs>")?
                 .parse()
                 .map_err(|_| "secs must be a number")?;
-            let mut dbox = session.materialize()?;
-            session.advance(&mut dbox, SimDuration::from_secs(secs));
+            let mut testbed = session.materialize()?;
+            session.advance(&mut testbed, SimDuration::from_secs(secs));
             session.save(dir)?;
-            Ok(format!("advanced to t={}\n", dbox.testbed().now()))
+            Ok(format!("advanced to t={}\n", testbed.now()))
         }
         "list" => {
-            let mut dbox = session.materialize()?;
+            let mut testbed = session.materialize()?;
             let mut out = String::new();
-            for name in dbox.testbed().digi_names() {
-                let model = dbox.check(&name).map_err(|e| e.to_string())?.0;
+            for name in testbed.digi_names() {
+                let model = testbed.check(&name).map_err(|e| e.to_string())?;
                 out.push_str(&format!(
                     "{name:<20} {:<14} managed={} rev={}\n",
                     model.meta.kind, model.meta.managed, model.revision()
@@ -487,18 +503,11 @@ fn invoke_inner(dir: &Path, args: &[String]) -> Result<String, String> {
                 .and_then(|i| args.get(i + 1))
                 .cloned()
                 .unwrap_or_else(|| "dbox commit".into());
-            let repo_dir = dir.join(".dbox").join("registry");
-            let mut repo = if repo_dir.exists() {
-                Repository::load_from_dir(&repo_dir).map_err(|e| e.to_string())?
-            } else {
-                Repository::new()
-            };
-            let mut dbox = session.materialize()?;
-            let digest = dbox
-                .testbed()
-                .commit(&mut repo, &setup, &message, &setup)
-                .map_err(|e| e.to_string())?;
-            repo.save_to_dir(&repo_dir).map_err(|e| e.to_string())?;
+            let mut repo = open_registry(dir)?;
+            let testbed = session.materialize()?;
+            let digest =
+                testbed.commit(&mut repo, &setup, &message, &setup).map_err(|e| e.to_string())?;
+            repo.save_to_dir(&Repository::default_dir(dir)).map_err(|e| e.to_string())?;
             Ok(format!("committed {setup} @ {}\n", digest.short()))
         }
         "push" => {
@@ -508,14 +517,9 @@ fn invoke_inner(dir: &Path, args: &[String]) -> Result<String, String> {
                 .position(|a| a == "--to")
                 .and_then(|i| args.get(i + 1))
                 .ok_or("usage: dbox push <setup> --to <dir>")?;
-            let repo_dir = dir.join(".dbox").join("registry");
-            let repo = Repository::load_from_dir(&repo_dir).map_err(|e| e.to_string())?;
+            let repo = open_registry(dir)?;
             let remote_dir = PathBuf::from(to);
-            let mut remote = if remote_dir.join("refs.json").exists() {
-                Repository::load_from_dir(&remote_dir).map_err(|e| e.to_string())?
-            } else {
-                Repository::new()
-            };
+            let mut remote = Repository::load_from_dir(&remote_dir).map_err(|e| e.to_string())?;
             let n = repo.push(&mut remote, &setup).map_err(|e| e.to_string())?;
             remote.save_to_dir(&remote_dir).map_err(|e| e.to_string())?;
             Ok(format!("pushed {setup}: {n} objects transferred\n"))
@@ -534,10 +538,10 @@ fn invoke_inner(dir: &Path, args: &[String]) -> Result<String, String> {
             // recreate = replay the manifest as journal commands on a fresh
             // session (seeded from the manifest for reproducibility)
             let mut fresh = Session::new(manifest.seed);
-            let mut dbox = fresh.materialize()?;
+            let mut testbed = fresh.materialize()?;
             for inst in &manifest.instances {
                 fresh.execute(
-                    &mut dbox,
+                    &mut testbed,
                     Command::Run {
                         kind: inst.kind.clone(),
                         name: inst.name.clone(),
@@ -548,20 +552,15 @@ fn invoke_inner(dir: &Path, args: &[String]) -> Result<String, String> {
             }
             for (child, parent) in &manifest.attachments {
                 fresh.execute(
-                    &mut dbox,
+                    &mut testbed,
                     Command::Attach { child: child.clone(), parent: parent.clone() },
                 )?;
             }
             fresh.save(dir)?;
             // keep the pulled objects locally too
-            let repo_dir = dir.join(".dbox").join("registry");
-            let mut local = if repo_dir.join("refs.json").exists() {
-                Repository::load_from_dir(&repo_dir).map_err(|e| e.to_string())?
-            } else {
-                Repository::new()
-            };
+            let mut local = open_registry(dir)?;
             local.pull(&remote, &setup).map_err(|e| e.to_string())?;
-            local.save_to_dir(&repo_dir).map_err(|e| e.to_string())?;
+            local.save_to_dir(&Repository::default_dir(dir)).map_err(|e| e.to_string())?;
             Ok(format!(
                 "pulled {setup}: {} instances, {} attachments recreated\n",
                 manifest.instances.len(),
@@ -569,8 +568,8 @@ fn invoke_inner(dir: &Path, args: &[String]) -> Result<String, String> {
             ))
         }
         "log" => {
-            let mut dbox = session.materialize()?;
-            let records = dbox.testbed().log().records();
+            let testbed = session.materialize()?;
+            let records = testbed.log().records();
             if args.get(1).map(String::as_str) == Some("--summary") {
                 return Ok(digibox_trace::analysis::TraceSummary::analyze(&records).render());
             }
@@ -585,12 +584,11 @@ fn invoke_inner(dir: &Path, args: &[String]) -> Result<String, String> {
             Ok(out)
         }
         "ps" => {
-            let mut dbox = session.materialize()?;
-            let (pods, cpu_used, cpu_cap) = dbox.testbed().cluster_utilization();
+            let testbed = session.materialize()?;
+            let (pods, cpu_used, cpu_cap) = testbed.cluster_utilization();
             let mut out = format!("{pods} pods, cpu {cpu_used}/{cpu_cap} millicores\n");
-            for name in dbox.testbed().digi_names() {
-                let phase = dbox
-                    .testbed()
+            for name in testbed.digi_names() {
+                let phase = testbed
                     .pod_phase(&name)
                     .map(|p| format!("{p:?}"))
                     .unwrap_or_else(|| "?".into());
@@ -599,8 +597,8 @@ fn invoke_inner(dir: &Path, args: &[String]) -> Result<String, String> {
             Ok(out)
         }
         "violations" => {
-            let mut dbox = session.materialize()?;
-            let violations = dbox.testbed().violations();
+            let testbed = session.materialize()?;
+            let violations = testbed.violations();
             if violations.is_empty() {
                 return Ok("no property violations\n".into());
             }
@@ -613,13 +611,13 @@ fn invoke_inner(dir: &Path, args: &[String]) -> Result<String, String> {
         }
         "infer" => {
             let name = args.get(1).ok_or("usage: dbox infer <name>")?;
-            let mut dbox = session.materialize()?;
-            let records = dbox.testbed().log().records();
+            let mut testbed = session.materialize()?;
+            let records = testbed.log().records();
             let samples = digibox_trace::analysis::model_samples(&records, name);
             if samples.is_empty() {
                 return Err(format!("no model samples for {name:?} in the trace"));
             }
-            let model = dbox.check(name).map_err(|e| e.to_string())?.0;
+            let model = testbed.check(name).map_err(|e| e.to_string())?;
             let schema =
                 digibox_model::infer_schema(&model.meta.kind, &model.meta.version, &samples);
             let json = json::encode_pretty(&schema);
@@ -627,8 +625,8 @@ fn invoke_inner(dir: &Path, args: &[String]) -> Result<String, String> {
         }
         "export-trace" => {
             let file = args.get(1).ok_or("usage: dbox export-trace <file>")?;
-            let mut dbox = session.materialize()?;
-            let bytes = dbox.export_trace();
+            let testbed = session.materialize()?;
+            let bytes = digibox_trace::archive::write(&testbed.log().records());
             std::fs::write(file, &bytes).map_err(|e| e.to_string())?;
             Ok(format!("wrote {} bytes to {file}\n", bytes.len()))
         }

@@ -89,9 +89,9 @@ fn run_inner(dir: &Path, args: &[String]) -> Result<(Report, bool), (i32, String
     } else {
         // lint whatever the session journal materializes to
         let session = Session::load(dir).map_err(fail)?;
-        let mut dbox = session.materialize().map_err(fail)?;
-        let manifest = dbox.testbed().describe("session");
-        let properties = dbox.testbed().properties().to_vec();
+        let testbed = session.materialize().map_err(fail)?;
+        let manifest = testbed.describe("session");
+        let properties = testbed.properties().to_vec();
         lint_ensemble(&catalog, &Ensemble::new(manifest).with_properties(properties), &opts)
     };
     Ok((report, json))

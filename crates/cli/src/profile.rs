@@ -11,8 +11,7 @@ use crate::Session;
 
 /// Execute `dbox profile` against a loaded session.
 pub fn run(session: &Session, _args: &[String]) -> Result<String, String> {
-    let mut dbox = session.materialize()?;
-    let snap = dbox.testbed().obs_snapshot();
+    let snap = session.materialize()?.obs_snapshot();
     let folded = snap.folded();
     if folded.is_empty() {
         return Ok("no spans recorded (run some digis first)\n".to_string());

@@ -24,18 +24,13 @@ use std::path::Path;
 use digibox_registry::{sha256, Repository};
 use digibox_trace::store;
 
-use crate::Session;
+use crate::{open_registry, Session};
 
 /// Execute `dbox record [<name>]` against the workspace at `dir`.
 /// With a name: record. Without: list recorded traces.
 pub fn run(dir: &Path, args: &[String]) -> Result<String, String> {
     let session = Session::load(dir)?;
-    let repo_dir = dir.join(".dbox").join("registry");
-    let mut repo = if repo_dir.join("refs.json").exists() {
-        Repository::load_from_dir(&repo_dir).map_err(|e| e.to_string())?
-    } else {
-        Repository::new()
-    };
+    let mut repo = open_registry(dir)?;
 
     let Some(name) = args.first() else {
         let names = store::list(&repo);
@@ -59,13 +54,10 @@ pub fn run(dir: &Path, args: &[String]) -> Result<String, String> {
         return Err(format!("unknown flag {name:?} (usage: dbox record [<name>])"));
     }
 
-    let mut dbox = session.materialize()?;
-    let records = dbox.testbed().log().records();
-    let stats_json = dbox.testbed().obs_snapshot().to_json();
-    let setup = dbox
-        .testbed()
-        .snapshot(name)
-        .map_err(|e| e.to_string())?;
+    let mut testbed = session.materialize()?;
+    let records = testbed.log().records();
+    let stats_json = testbed.obs_snapshot().to_json();
+    let setup = testbed.snapshot(name).map_err(|e| e.to_string())?;
 
     let mut extras = BTreeMap::new();
     extras.insert(
@@ -83,7 +75,7 @@ pub fn run(dir: &Path, args: &[String]) -> Result<String, String> {
     store::save(&mut repo, name, &records, extras).map_err(|e| e.to_string())?;
     let new_objects = repo.object_count() - before;
     let manifest = store::manifest(&repo, name).map_err(|e| e.to_string())?;
-    repo.save_to_dir(&repo_dir).map_err(|e| e.to_string())?;
+    repo.save_to_dir(&Repository::default_dir(dir)).map_err(|e| e.to_string())?;
 
     Ok(format!(
         "recorded trace/{name}: {} records over {}, {} chunks ({new_objects} new objects), stats digest {}\n",

@@ -33,10 +33,9 @@ use digibox_core::{CheckpointStore, Testbed, TestbedConfig};
 use digibox_devices::full_catalog;
 use digibox_net::{SimDuration, SimTime};
 use digibox_registry::{sha256, Repository, SetupManifest};
-use digibox_trace::store;
-use digibox_trace::{diff_report, ReplaySchedule, TraceRecord};
+use digibox_trace::{archive, diff_report, store, ReplaySchedule, TraceRecord};
 
-use crate::{Outcome, Session};
+use crate::{open_registry, Outcome, Session};
 
 const REPLAY_USAGE: &str = "\
 usage:
@@ -162,21 +161,12 @@ fn parse_decimal(s: &str, scale: u64) -> Result<u64, String> {
     Ok(value)
 }
 
-fn load_repo(dir: &Path) -> Result<Repository, String> {
-    let repo_dir = dir.join(".dbox").join("registry");
-    if repo_dir.join("refs.json").exists() {
-        Repository::load_from_dir(&repo_dir).map_err(|e| e.to_string())
-    } else {
-        Ok(Repository::new())
-    }
-}
-
 /// Resolve a trace operand: a path on disk wins, otherwise it is treated
 /// as a registry ref.
 fn load_operand(repo: &Repository, operand: &str) -> Result<Vec<TraceRecord>, String> {
     if Path::new(operand).exists() {
         let bytes = std::fs::read(operand).map_err(|e| e.to_string())?;
-        digibox_trace::archive::read(&bytes).map_err(|e| format!("{operand}: {e}"))
+        archive::read(&bytes).map_err(|e| format!("{operand}: {e}"))
     } else {
         store::load(repo, operand)
             .map(|(_, records)| records)
@@ -197,7 +187,7 @@ fn run_inner(dir: &Path, args: &[String]) -> Result<Outcome, String> {
     if Path::new(operand).exists() {
         archive_mode(dir, operand, &flags)
     } else {
-        let repo = load_repo(dir)?;
+        let repo = open_registry(dir)?;
         let (manifest, records) =
             store::load(&repo, operand).map_err(|e| format!("{operand}: {e}"))?;
         if flags.speed_milli.is_some() || flags.from_checkpoint {
@@ -213,7 +203,7 @@ fn diff_mode(dir: &Path, flags: &Flags) -> Result<Outcome, String> {
     let [a, b] = flags.operands.as_slice() else {
         return Err(format!("--diff needs exactly two traces\n\n{REPLAY_USAGE}"));
     };
-    let repo = load_repo(dir)?;
+    let repo = open_registry(dir)?;
     let both_stored = !Path::new(a).exists() && !Path::new(b).exists();
     let report = if both_stored {
         // Stored traces bisect chunk-by-chunk: the shared prefix dedups
@@ -258,7 +248,7 @@ fn verified_mode(
         }
     }
 
-    let mut dbox = session.materialize()?;
+    let mut testbed = session.materialize()?;
     // On a truncated replay, both sides are compared up to the cut
     // itself (inclusive, exact nanos): journal commands settle past
     // their `at_ms`, so records past the cut can differ legitimately —
@@ -267,9 +257,9 @@ fn verified_mode(
     let (recorded, replayed): (Vec<TraceRecord>, Vec<TraceRecord>) = match flags.until {
         Some(cut) if truncated => (
             records.iter().filter(|r| r.ts <= cut).cloned().collect(),
-            dbox.testbed().log().records().into_iter().filter(|r| r.ts <= cut).collect(),
+            testbed.log().records().into_iter().filter(|r| r.ts <= cut).collect(),
         ),
-        _ => (records.to_vec(), dbox.testbed().log().records()),
+        _ => (records.to_vec(), testbed.log().records()),
     };
 
     if let Some(report) = diff_report(&recorded, &replayed) {
@@ -278,7 +268,7 @@ fn verified_mode(
         return Ok(Outcome { stdout: out, code: 2 });
     }
 
-    let stats_json = format!("{}\n", dbox.testbed().obs_snapshot().to_json());
+    let stats_json = format!("{}\n", testbed.obs_snapshot().to_json());
     if let Some(path) = &flags.stats_out {
         std::fs::write(path, &stats_json).map_err(|e| e.to_string())?;
     }
@@ -298,7 +288,7 @@ fn verified_mode(
         return Ok(Outcome { stdout: out, code: 0 });
     }
     // Full replay: the stats snapshot must be byte-for-byte identical.
-    let replayed_stats = dbox.testbed().obs_snapshot().to_json();
+    let replayed_stats = testbed.obs_snapshot().to_json();
     let digest = sha256(replayed_stats.as_bytes()).to_string();
     match manifest.extras.get("stats") {
         Some(recorded_stats) if *recorded_stats != replayed_stats => {
@@ -409,14 +399,17 @@ fn playback_mode(
 fn archive_mode(dir: &Path, file: &str, flags: &Flags) -> Result<Outcome, String> {
     let session = Session::load(dir)?;
     let bytes = std::fs::read(file).map_err(|e| e.to_string())?;
-    let mut dbox = session.materialize()?;
+    let mut testbed = session.materialize()?;
     if flags.speed_milli.is_some() {
         return Err(
             "--speed applies to recorded refs, not archives (record first: dbox record <name>)"
                 .into(),
         );
     }
-    let mut schedule = dbox.replay(&bytes).map_err(|e| e.to_string())?;
+    let records =
+        archive::read(&bytes).map_err(|e| format!("setup error: bad trace archive: {e}"))?;
+    let mut schedule = ReplaySchedule::from_records(&records);
+    testbed.replay(&schedule).map_err(|e| e.to_string())?;
     // Exact-nanos inclusive end bound. The previous implementation
     // truncated to milliseconds, which dropped records emitted at the
     // final virtual instant of the recording. With `--until` the clock
@@ -432,7 +425,7 @@ fn archive_mode(dir: &Path, file: &str, flags: &Flags) -> Result<Outcome, String
             SimDuration::from_nanos(schedule.duration().as_nanos()) + SimDuration::from_millis(100)
         }
     };
-    dbox.testbed().run_for(span);
+    testbed.run_for(span);
     let mut out = format!(
         "replayed {} steps over {} digis\n",
         schedule.len(),
@@ -442,7 +435,7 @@ fn archive_mode(dir: &Path, file: &str, flags: &Flags) -> Result<Outcome, String
         out.push_str(&format!("  {name}: {fields}\n"));
     }
     if let Some(path) = &flags.stats_out {
-        let stats_json = format!("{}\n", dbox.testbed().obs_snapshot().to_json());
+        let stats_json = format!("{}\n", testbed.obs_snapshot().to_json());
         std::fs::write(path, stats_json).map_err(|e| e.to_string())?;
     }
     // NOTE: replay is exploratory — it does not append to the journal.

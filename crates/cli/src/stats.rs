@@ -19,8 +19,7 @@ pub fn run(session: &Session, args: &[String]) -> Result<String, String> {
             .ok_or("usage: dbox stats [--format json|pretty]")?,
         None => "pretty",
     };
-    let mut dbox = session.materialize()?;
-    let snap = dbox.testbed().obs_snapshot();
+    let snap = session.materialize()?.obs_snapshot();
     match format {
         "json" => Ok(format!("{}\n", snap.to_json())),
         "pretty" => {

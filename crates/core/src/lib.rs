@@ -24,10 +24,10 @@
 //!   dedicated digi is a one-cell pool on its own session (every digi is
 //!   a pod, paper §4); a shared pool runs many cells on one session (the
 //!   paper's §6 FaaS question).
-//! * [`Testbed`] — the runtime: simulated cluster + control plane + broker
-//!   + trace log, orchestrating digi pods (paper §4).
-//! * [`Dbox`] — the Table-1 command API (`run`, `stop`, `check`, `watch`,
-//!   `attach`, `edit`, `commit`, `push`, `pull`, `replay`).
+//! * [`Testbed`] — the runtime: simulated cluster, control plane, broker
+//!   and trace log, orchestrating digi pods (paper §4). Its methods are
+//!   the Table-1 verbs (`run`, `stop`, `check`, `attach`, `edit`,
+//!   `commit`, `replay`) that the `dbox` CLI drives.
 //! * [`properties`] — scene properties: disallowed-state invariants and
 //!   bounded temporal operators, checked online against the trace.
 //! * [`AppClient`] — the application side: a REST/MQTT client endpoint
@@ -50,7 +50,6 @@ pub mod campaign;
 mod catalog;
 pub mod cell;
 pub mod checkpoint;
-mod dbox;
 pub mod footprint;
 pub mod islands;
 pub mod pool;
@@ -67,7 +66,6 @@ pub use campaign::{Campaign, Scorecard, SeedReport};
 pub use cell::{CellStats, DigiCell, Outbox};
 pub use checkpoint::{CheckpointInfo, CheckpointStore};
 pub use catalog::{Catalog, CatalogError};
-pub use dbox::Dbox;
 pub use footprint::Footprint;
 pub use islands::{IslandEnv, IslandSpec, IslandsRun};
 pub use pool::{DigiPool, PoolStats};

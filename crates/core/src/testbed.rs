@@ -104,8 +104,8 @@ pub enum TestbedError {
     UnknownDigi(String),
     /// The digi exists but its program is not a scene.
     NotAScene(String),
-    /// The orchestrator's store rejected an operation.
-    Orchestrator(digibox_orchestrator::StoreError),
+    /// The control plane rejected a pod operation.
+    Orchestrator(digibox_orchestrator::PodError),
     /// The type registry rejected an operation.
     Registry(digibox_registry::RegistryError),
     /// A model operation failed.
@@ -135,8 +135,8 @@ impl From<CatalogError> for TestbedError {
         TestbedError::Catalog(e)
     }
 }
-impl From<digibox_orchestrator::StoreError> for TestbedError {
-    fn from(e: digibox_orchestrator::StoreError) -> Self {
+impl From<digibox_orchestrator::PodError> for TestbedError {
+    fn from(e: digibox_orchestrator::PodError) -> Self {
         TestbedError::Orchestrator(e)
     }
 }
@@ -151,11 +151,16 @@ impl From<digibox_model::ModelError> for TestbedError {
     }
 }
 
+/// The pod hosting the dedicated digi `name`. Pod names lowercase the
+/// digi name, so `L1` and `l1` would share one pod.
+fn pod_name(name: &str) -> String {
+    format!("digi-{}", name.to_lowercase())
+}
+
 /// A dedicated digi: its one-cell host plus what `dbox commit` records.
 struct DigiEntry {
     handle: ServiceHandle<DigiPool>,
     addr: Addr,
-    pod: String,
     kind: String,
     version: String,
     managed: bool,
@@ -433,11 +438,7 @@ impl Testbed {
     /// Pod phase of a digi (orchestrator view). Works for crashed digis
     /// too (their pod records persist through the backoff window).
     pub fn pod_phase(&self, name: &str) -> Option<PodPhase> {
-        let pod = match self.digis.get(name) {
-            Some(e) => e.pod.clone(),
-            None => format!("digi-{}", name.to_lowercase()),
-        };
-        self.control.borrow().phase(&pod)
+        self.control.borrow().phase(&pod_name(name))
     }
 
     /// The checkpoint store (chaos scorecards and tests inspect it).
@@ -528,18 +529,18 @@ impl Testbed {
         if let Some(fields) = checkpoint {
             model.set_fields(fields)?;
         }
-        let pod_name = format!("digi-{}", name.to_lowercase());
+        let pod = pod_name(name);
         if pod_exists {
-            self.control.borrow_mut().requeue(&pod_name);
+            self.control.borrow_mut().requeue(&pod);
         } else {
             let pod_spec = if program.is_scene() {
-                PodSpec::scene(&pod_name, program.program_id())
+                PodSpec::scene(&pod, program.program_id())
             } else {
-                PodSpec::mock(&pod_name, program.program_id())
+                PodSpec::mock(&pod, program.program_id())
             };
             self.control.borrow_mut().create_pod(pod_spec)?;
         }
-        let (addr, overhead, start_delay) = self.place(&pod_name)?;
+        let (addr, overhead, start_delay) = self.place(&pod)?;
         let version = model.meta.version.clone();
         let handle = DigiPool::dedicated(addr, self.broker_addr, overhead, name, &rng);
         let scene_logic = self.scene_logic();
@@ -549,14 +550,13 @@ impl Testbed {
             DigiEntry {
                 handle: handle.clone(),
                 addr,
-                pod: pod_name.clone(),
                 kind: kind.to_string(),
                 version,
                 managed,
                 params,
             },
         );
-        self.bind_after(start_delay, addr, handle, pod_name);
+        self.bind_after(start_delay, addr, handle, pod);
         Ok(())
     }
 
@@ -653,7 +653,7 @@ impl Testbed {
             .digis
             .remove(name)
             .ok_or_else(|| TestbedError::UnknownDigi(name.to_string()))?;
-        self.control.borrow_mut().delete_pod(&entry.pod)?;
+        self.control.borrow_mut().delete_pod(&pod_name(name))?;
         self.sim.unbind(entry.addr);
         self.checkpoints.forget(name);
         self.log.lifecycle(self.sim.now(), name, "stopped", "");
@@ -682,7 +682,7 @@ impl Testbed {
             .get(name)
             .ok_or_else(|| TestbedError::UnknownDigi(name.to_string()))?;
         let addr = entry.addr;
-        let pod = entry.pod.clone();
+        let pod = pod_name(name);
         let kind = entry.kind.clone();
         let params = entry.params.clone();
         let managed = entry.managed;
@@ -1000,8 +1000,7 @@ impl Testbed {
                     // Placement failed (node cordoned, cluster full…):
                     // retry on the pod's backoff schedule.
                     obs::inc(self.obs.restart_retries);
-                    let pod = format!("digi-{}", r.name.to_lowercase());
-                    let delay = self.control.borrow().restart_delay_for(&pod);
+                    let delay = self.control.borrow().restart_delay_for(&pod_name(&r.name));
                     self.pending_restarts.push(PendingRestart {
                         due: now + delay,
                         attempts: r.attempts + 1,

@@ -461,3 +461,17 @@ fn kill_restarts_with_fresh_state() {
     let model = tb.check("L1").unwrap();
     assert_eq!(model.status(&"power".into()).unwrap().as_str(), Some("off"));
 }
+
+#[test]
+fn pod_names_clash_case_insensitively_and_through_backoff() {
+    let mut tb = laptop_testbed();
+    tb.run("Lamp", "L1").unwrap();
+    // a digi's pod is named after its lowercased name
+    let err = tb.run("Lamp", "l1").unwrap_err();
+    assert_eq!(err.to_string(), "Pod/digi-l1 already exists");
+    tb.run_for(SimDuration::from_secs(1));
+    tb.kill("L1").unwrap();
+    // the crashed pod's record persists through its restart backoff
+    let err = tb.run("Lamp", "L1").unwrap_err();
+    assert_eq!(err.to_string(), "Pod/digi-l1 already exists");
+}

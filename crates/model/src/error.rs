@@ -13,8 +13,6 @@ pub enum ModelError {
     SchemaViolation { path: String, reason: String },
     /// A DML document could not be parsed.
     Parse { line: usize, reason: String },
-    /// A patch could not be applied (e.g. stale resource version).
-    PatchConflict(String),
     /// An invalid path literal (empty segment etc.).
     BadPath(String),
 }
@@ -31,7 +29,6 @@ impl fmt::Display for ModelError {
                 write!(f, "schema violation at {path}: {reason}")
             }
             ModelError::Parse { line, reason } => write!(f, "parse error on line {line}: {reason}"),
-            ModelError::PatchConflict(m) => write!(f, "patch conflict: {m}"),
             ModelError::BadPath(p) => write!(f, "bad path: {p:?}"),
         }
     }

@@ -12,7 +12,7 @@
 //!   string/list/map) used everywhere in Digibox.
 //! * [`Path`] — dotted field paths such as `power.status`.
 //! * [`Model`] — the model document: a [`Meta`] block plus a field tree, with
-//!   intent/status pair conventions and resource versioning.
+//!   intent/status pair conventions and a revision bumped on every mutation.
 //! * [`Patch`]/[`diff`] — structural diffs between models, applied as patches
 //!   (the unit that the scene controllers, the logger and the replay engine
 //!   all operate on).

@@ -11,8 +11,9 @@ use crate::{vmap, Meta, ModelError, Path, Result, Value};
 ///   `status` (what the simulated device reports), e.g.
 ///   `power: { intent: "on", status: "off" }`.
 ///
-/// Every mutation bumps `revision`, the optimistic-concurrency token used by
-/// the object store and the watch machinery.
+/// Every mutation bumps `revision`. A digi cell compares revisions to tell
+/// whether its `on_model` handler changed the model and to skip publishing
+/// an unchanged one; checkpoints record the revision they snapshot.
 ///
 /// JSON: `{"fields": .., "meta": .., "revision": ..}`; `revision` defaults
 /// to 0 when absent.

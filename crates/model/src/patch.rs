@@ -90,8 +90,7 @@ impl Patch {
     }
 
     /// Apply every op to `model` in order. On error, earlier ops stay
-    /// applied (callers that need atomicity clone first; the runtime's
-    /// object store does exactly that).
+    /// applied; callers that need atomicity apply to a clone.
     pub fn apply(&self, model: &mut Model) -> Result<()> {
         for op in &self.ops {
             match op {

@@ -4,29 +4,36 @@
 //! makes decisions and returns [`PodAction`]s with relative delays; the
 //! testbed applies them on the simulation kernel and reports back via
 //! `mark_running` / `report_exit`. This keeps the orchestrator unit-testable
-//! without a kernel and mirrors the controller/apiserver split in
+//! without a kernel and mirrors the controller/kubelet split in
 //! Kubernetes.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
-use digibox_model::json::ToValue;
-use digibox_model::{vmap, Value};
 use digibox_net::{NodeId, NodeSpec, Prng, SimDuration};
 
-use crate::object::{ObjectStore, StoreError};
 use crate::pod::{PodPhase, PodSpec, RestartPolicy};
 use crate::scheduler::{ScheduleError, Scheduler};
 
-/// A node's spec as the `Node` object stored in the control plane:
-/// `service_overhead` is in virtual nanoseconds.
-fn node_spec_to_value(spec: &NodeSpec) -> Value {
-    vmap! {
-        "label" => spec.label.to_value(),
-        "cpu_millis" => spec.cpu_millis.to_value(),
-        "mem_mib" => spec.mem_mib.to_value(),
-        "service_overhead" => spec.service_overhead.as_nanos().to_value(),
+/// Why the control plane rejected a pod operation.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PodError {
+    /// `create_pod` named a pod that is already declared.
+    AlreadyExists(String),
+    /// `delete_pod` named a pod that is not declared.
+    NotFound(String),
+}
+
+impl fmt::Display for PodError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PodError::AlreadyExists(name) => write!(f, "Pod/{name} already exists"),
+            PodError::NotFound(name) => write!(f, "Pod/{name} not found"),
+        }
     }
 }
+
+impl std::error::Error for PodError {}
 
 /// Startup/behaviour knobs.
 #[derive(Debug, Clone)]
@@ -75,9 +82,8 @@ struct PodRecord {
     restarts: u32,
 }
 
-/// The control plane.
+/// The control plane. Its pod table is the one record of pod state.
 pub struct ControlPlane {
-    store: ObjectStore,
     scheduler: Scheduler,
     pods: BTreeMap<String, PodRecord>,
     rng: Prng,
@@ -87,22 +93,11 @@ pub struct ControlPlane {
 impl ControlPlane {
     pub fn new(nodes: &[(NodeId, NodeSpec)], config: ControlPlaneConfig) -> ControlPlane {
         let mut scheduler = Scheduler::new();
-        let mut store = ObjectStore::new();
         for (id, spec) in nodes {
             scheduler.add_node(*id, spec.clone());
-            let spec_val = node_spec_to_value(spec);
-            store
-                .create("Node", &spec.label, spec_val)
-                .expect("node labels are unique");
         }
         let rng = Prng::new(config.seed).split_str("control-plane");
-        ControlPlane { store, scheduler, pods: BTreeMap::new(), rng, config }
-    }
-
-    /// The backing object store (pods and nodes are visible here, which is
-    /// what `dbox check` inspects for runtime state).
-    pub fn store(&self) -> &ObjectStore {
-        &self.store
+        ControlPlane { scheduler, pods: BTreeMap::new(), rng, config }
     }
 
     pub fn scheduler(&self) -> &Scheduler {
@@ -123,12 +118,10 @@ impl ControlPlane {
 
     /// Declare a pod (desired state). It becomes `Pending` until the next
     /// `reconcile`.
-    pub fn create_pod(&mut self, spec: PodSpec) -> Result<(), StoreError> {
-        let spec_val = spec.to_value();
-        self.store.create("Pod", &spec.name, spec_val)?;
-        self.store.modify("Pod", &spec.name, |_, status| {
-            *status = digibox_model::vmap! { "phase" => "Pending" };
-        })?;
+    pub fn create_pod(&mut self, spec: PodSpec) -> Result<(), PodError> {
+        if self.pods.contains_key(&spec.name) {
+            return Err(PodError::AlreadyExists(spec.name));
+        }
         self.pods.insert(
             spec.name.clone(),
             PodRecord { spec, phase: PodPhase::Pending, restarts: 0 },
@@ -138,12 +131,9 @@ impl ControlPlane {
 
     /// Remove a pod (desired deletion). Returns the stop action when it was
     /// placed.
-    pub fn delete_pod(&mut self, name: &str) -> Result<Vec<PodAction>, StoreError> {
-        let record = self.pods.remove(name).ok_or_else(|| StoreError::NotFound {
-            kind: "Pod".into(),
-            name: name.into(),
-        })?;
-        self.store.delete("Pod", name)?;
+    pub fn delete_pod(&mut self, name: &str) -> Result<Vec<PodAction>, PodError> {
+        let record =
+            self.pods.remove(name).ok_or_else(|| PodError::NotFound(name.to_string()))?;
         let mut actions = Vec::new();
         if let Some(node) = record.phase.node() {
             self.scheduler.unplace(node, &record.spec);
@@ -173,13 +163,11 @@ impl ControlPlane {
                     let record = self.pods.get_mut(&name).expect("pod exists");
                     record.phase = PodPhase::Starting { node };
                     let image = record.spec.image.clone();
-                    self.set_status_phase(&name, &format!("Starting on {node}"));
                     actions.push(PodAction::Start { pod: name, image, node, delay });
                 }
                 Err(ScheduleError::Unschedulable { .. }) | Err(ScheduleError::UnknownNode(_)) => {
                     let record = self.pods.get_mut(&name).expect("pod exists");
                     record.phase = PodPhase::Unschedulable;
-                    self.set_status_phase(&name, "Unschedulable");
                     actions.push(PodAction::MarkUnschedulable { pod: name });
                 }
             }
@@ -192,7 +180,6 @@ impl ControlPlane {
         if let Some(record) = self.pods.get_mut(name) {
             if let PodPhase::Starting { node } = record.phase {
                 record.phase = PodPhase::Running { node };
-                self.set_status_phase(name, "Running");
             }
         }
     }
@@ -208,27 +195,18 @@ impl ControlPlane {
         let Some(node) = record.phase.node() else {
             return Vec::new();
         };
-        let spec = record.spec.clone();
-        let status = match record.spec.restart {
+        match record.spec.restart {
             RestartPolicy::Always => {
                 record.restarts += 1;
                 let restarts = record.restarts;
                 let crash_loop = Self::backoff(base, cap, restarts) >= cap;
                 record.phase = PodPhase::BackOff { restarts, crash_loop };
-                if crash_loop {
-                    format!("CrashLoopBackOff (restarts: {restarts})")
-                } else {
-                    format!("BackOff (restarts: {restarts})")
-                }
             }
             RestartPolicy::Never => {
-                let restarts = record.restarts;
-                record.phase = PodPhase::Terminated { restarts };
-                "Terminated".to_string()
+                record.phase = PodPhase::Terminated { restarts: record.restarts };
             }
-        };
-        self.scheduler.unplace(node, &spec);
-        self.set_status_phase(name, &status);
+        }
+        self.scheduler.unplace(node, &record.spec);
         // For `Always` pods the caller waits out `restart_delay_for(name)`,
         // then calls `requeue` + `reconcile` to re-place the pod.
         Vec::new()
@@ -286,15 +264,8 @@ impl ControlPlane {
         if let Some(record) = self.pods.get_mut(name) {
             if matches!(record.phase, PodPhase::BackOff { .. } | PodPhase::Unschedulable) {
                 record.phase = PodPhase::Pending;
-                self.set_status_phase(name, "Pending (restarting)");
             }
         }
-    }
-
-    fn set_status_phase(&mut self, pod: &str, phase: &str) {
-        let _ = self.store.modify("Pod", pod, |_, status| {
-            *status = digibox_model::vmap! { "phase" => phase };
-        });
     }
 }
 
@@ -306,16 +277,6 @@ mod tests {
         let nodes: Vec<(NodeId, NodeSpec)> =
             (0..n_nodes).map(|i| (NodeId(i), NodeSpec::m5_xlarge(i))).collect();
         ControlPlane::new(&nodes, ControlPlaneConfig::default())
-    }
-
-    #[test]
-    fn node_objects_hold_the_spec_json() {
-        let cp = plane(1);
-        let node = cp.store().get("Node", "m5.xlarge-0").unwrap();
-        assert_eq!(
-            node.spec.to_json(),
-            r#"{"cpu_millis":4000,"label":"m5.xlarge-0","mem_mib":16384,"service_overhead":2000000}"#
-        );
     }
 
     #[test]
@@ -332,21 +293,17 @@ mod tests {
         assert!(delay.as_millis() >= 150);
         assert_eq!(cp.phase(pod), Some(PodPhase::Starting { node: *node }));
         cp.mark_running(pod);
-        assert!(cp.phase(pod).unwrap().is_running());
+        assert_eq!(cp.phase(pod), Some(PodPhase::Running { node: *node }));
         assert_eq!(cp.running_count(), 1);
-        // store reflects the phase
-        let status = &cp.store().get("Pod", pod).unwrap().status;
-        assert_eq!(status.get("phase").unwrap().as_str(), Some("Running"));
     }
 
     #[test]
     fn duplicate_pod_rejected() {
         let mut cp = plane(1);
         cp.create_pod(PodSpec::mock("a", "img")).unwrap();
-        assert!(matches!(
-            cp.create_pod(PodSpec::mock("a", "img")),
-            Err(StoreError::AlreadyExists { .. })
-        ));
+        let err = cp.create_pod(PodSpec::mock("a", "img")).unwrap_err();
+        assert_eq!(err, PodError::AlreadyExists("a".into()));
+        assert_eq!(err.to_string(), "Pod/a already exists");
     }
 
     #[test]
@@ -376,7 +333,10 @@ mod tests {
         assert_eq!(actions.len(), 1);
         assert!(matches!(actions[0], PodAction::Stop { .. }));
         assert_eq!(cp.scheduler().total_pods(), 0);
-        assert!(cp.store().get("Pod", "a").is_none());
+        assert_eq!(cp.phase("a"), None);
+        let err = cp.delete_pod("a").unwrap_err();
+        assert_eq!(err, PodError::NotFound("a".into()));
+        assert_eq!(err.to_string(), "Pod/a not found");
     }
 
     #[test]
@@ -420,9 +380,7 @@ mod tests {
             );
             cp.requeue(&name);
         }
-        // store status surfaces the crash loop
-        let status = &cp.store().get("Pod", "a").unwrap().status;
-        assert_eq!(status.get("phase").unwrap().as_str(), Some("Pending (restarting)"));
+        assert_eq!(cp.phase("a"), Some(PodPhase::Pending));
     }
 
     #[test]

@@ -5,25 +5,20 @@
 //! controller as a "digi" microservice; this crate provides the pieces of
 //! Kubernetes that deployment actually relies on:
 //!
-//! * [`ObjectStore`] — a typed object store with optimistic concurrency
-//!   (resource versions) and ordered watch streams, the communication
-//!   backbone of the control plane (and of dSpace-style digis, which talk
-//!   through their model objects).
 //! * [`PodSpec`]/[`PodPhase`] — pod-like units with CPU/memory requests and
 //!   a lifecycle state machine.
 //! * [`Scheduler`] — filter + score (least-allocated) placement onto the
 //!   simulated nodes.
-//! * [`ControlPlane`] — ties it together: reconciles desired pods against
-//!   node capacity and emits timed [`PodAction`]s that the testbed applies
-//!   on the simulation kernel (container startup delays, restarts,
-//!   evictions on node failure).
+//! * [`ControlPlane`] — ties it together: its pod table is the one record
+//!   of pod state. It reconciles desired pods against node capacity and
+//!   emits timed [`PodAction`]s that the testbed applies on the simulation
+//!   kernel (container startup delays, restarts, evictions on node
+//!   failure).
 
 mod control;
-mod object;
 mod pod;
 mod scheduler;
 
-pub use control::{ControlPlane, ControlPlaneConfig, PodAction};
-pub use object::{ObjectStore, StoreError, StoredObject, WatchCursor, WatchEvent};
+pub use control::{ControlPlane, ControlPlaneConfig, PodAction, PodError};
 pub use pod::{PodPhase, PodSpec, RestartPolicy};
 pub use scheduler::{NodeAlloc, ScheduleError, Scheduler};

@@ -1,11 +1,8 @@
-use digibox_model::json::ToValue;
-use digibox_model::{vmap, Value};
 use digibox_net::NodeId;
 
 /// What to do when a pod's process dies (paper §6 lists device
 /// faults/failures as a prototyping dimension; mocks get `Always` so a
 /// crashed mock comes back, one-shot jobs get `Never`).
-/// JSON: `"Always"` or `"Never"`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RestartPolicy {
     #[default]
@@ -14,7 +11,6 @@ pub enum RestartPolicy {
 }
 
 /// Desired state of one pod (one digi microservice).
-/// JSON: `node_selector` is a bare node number or `null`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PodSpec {
     /// Unique pod name, conventionally `digi-<type>-<name>`.
@@ -85,28 +81,6 @@ pub enum PodPhase {
     Unschedulable,
 }
 
-impl ToValue for RestartPolicy {
-    fn to_value(&self) -> Value {
-        Value::from(match self {
-            RestartPolicy::Always => "Always",
-            RestartPolicy::Never => "Never",
-        })
-    }
-}
-
-impl ToValue for PodSpec {
-    fn to_value(&self) -> Value {
-        vmap! {
-            "name" => self.name.as_str(),
-            "image" => self.image.as_str(),
-            "cpu_millis" => self.cpu_millis.to_value(),
-            "mem_mib" => self.mem_mib.to_value(),
-            "restart" => self.restart.to_value(),
-            "node_selector" => self.node_selector.map_or(Value::Null, |n| n.0.to_value()),
-        }
-    }
-}
-
 impl PodPhase {
     pub fn node(&self) -> Option<NodeId> {
         match self {
@@ -137,7 +111,6 @@ impl PodPhase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use digibox_model::json;
 
     #[test]
     fn spec_builders() {
@@ -163,19 +136,5 @@ mod tests {
         assert!(PodPhase::BackOff { restarts: 9, crash_loop: true }.is_crash_loop());
         assert_eq!(PodPhase::Terminated { restarts: 1 }.restarts(), Some(1));
         assert_eq!(PodPhase::Running { node: NodeId(0) }.restarts(), None);
-    }
-
-    #[test]
-    fn spec_json_is_pinned() {
-        let p = PodSpec::mock("a", "b").on_node(NodeId(1));
-        assert_eq!(
-            json::encode(&p),
-            r#"{"cpu_millis":5,"image":"b","mem_mib":8,"name":"a","node_selector":1,"restart":"Always"}"#
-        );
-        let free = PodSpec { restart: RestartPolicy::Never, ..PodSpec::mock("a", "b") };
-        assert_eq!(
-            json::encode(&free),
-            r#"{"cpu_millis":5,"image":"b","mem_mib":8,"name":"a","node_selector":null,"restart":"Never"}"#
-        );
     }
 }
