@@ -10,7 +10,9 @@ use bytes::Bytes;
 use digibox_obs as obs;
 
 use digibox_net::transport::{ReliableEndpoint, TransportEvent};
-use digibox_net::{Addr, Datagram, Service, ServiceHandle, Sim, SimDuration, SimTime, TimerToken};
+use digibox_net::{
+    Addr, Datagram, FxBuildHasher, Service, ServiceHandle, Sim, SimDuration, SimTime, TimerToken,
+};
 
 use crate::packet::{Packet, PublishRef, QoS};
 use crate::pidmap::PidMap;
@@ -258,7 +260,7 @@ fn best_per_addr(mut subs: Subscribers) -> Subscribers {
 pub struct Broker {
     addr: Addr,
     ep: ReliableEndpoint,
-    sessions: HashMap<Addr, Session>,
+    sessions: HashMap<Addr, Session, FxBuildHasher>,
     /// client id → live session address, for takeover detection without
     /// scanning the session map.
     client_index: BTreeMap<String, Addr>,
@@ -275,7 +277,7 @@ pub struct Broker {
     /// `route_epoch` equals the trie's epoch; any
     /// subscribe/unsubscribe/session-end bumps the epoch and the next
     /// publish drops the whole cache (ids stay stable across epochs).
-    route_cache: HashMap<u32, Rc<RouteSet>>,
+    route_cache: HashMap<u32, Rc<RouteSet>, FxBuildHasher>,
     route_epoch: u64,
     /// `$share` round-robin rotation counters, keyed by group name. Kept
     /// outside the immutable route cache: the counter advances per
@@ -304,11 +306,11 @@ impl Broker {
         Rc::new(RefCell::new(Broker {
             addr,
             ep: ReliableEndpoint::new(addr),
-            sessions: HashMap::new(),
+            sessions: HashMap::default(),
             client_index: BTreeMap::new(),
             stashed: BTreeMap::new(),
             subs: TopicTrie::new(),
-            route_cache: HashMap::new(),
+            route_cache: HashMap::default(),
             route_epoch: 0,
             share_rr: BTreeMap::new(),
             retained: BTreeMap::new(),
@@ -865,7 +867,15 @@ impl Broker {
         ];
         for (topic, value) in entries {
             let payload = Bytes::from(value.to_string());
-            self.retained.insert(Rc::from(topic), (QoS::AtMostOnce, payload.clone()));
+            // A refresh overwrites the value in place: `insert` would
+            // allocate a key only to drop it again.
+            let entry = (QoS::AtMostOnce, payload.clone());
+            match self.retained.get_mut(topic) {
+                Some(slot) => *slot = entry,
+                None => {
+                    self.retained.insert(Rc::from(topic), entry);
+                }
+            }
             self.route(sim, topic, QoS::AtMostOnce, payload, true);
         }
     }
@@ -942,12 +952,10 @@ impl Broker {
 
 impl Service for Broker {
     fn on_datagram(&mut self, sim: &mut Sim, dg: Datagram) {
-        let from = dg.src;
         if !self.ep.on_datagram(sim, dg) {
             self.stats.malformed += 1;
             return;
         }
-        let _ = from;
         self.pump(sim);
     }
 

@@ -2,12 +2,12 @@
 //! and applications (they own the [`digibox_net::Service`] binding and
 //! forward datagrams/timers here).
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 use bytes::Bytes;
 
 use digibox_net::transport::{ReliableEndpoint, TransportEvent};
-use digibox_net::{Addr, Datagram, Sim, TimerToken};
+use digibox_net::{Addr, Datagram, Inbox, Sim, TimerToken};
 
 use crate::packet::{ConnectFlags, Packet, PublishRef, QoS};
 use crate::pidmap::PidMap;
@@ -83,7 +83,7 @@ pub struct MqttConn {
     /// Packet ids of inbound QoS-2 publishes received but not yet
     /// released (PUBREL pending) — the receiver-side dedup set.
     inbound_rec: BTreeSet<u16>,
-    events: VecDeque<ClientEvent>,
+    events: Inbox<ClientEvent>,
 }
 
 impl MqttConn {
@@ -98,7 +98,7 @@ impl MqttConn {
             next_pid: 1,
             outbound: PidMap::new(),
             inbound_rec: BTreeSet::new(),
-            events: VecDeque::new(),
+            events: Inbox::default(),
         }
     }
 
@@ -253,7 +253,7 @@ impl MqttConn {
                 },
                 TransportEvent::PeerFailed { .. } => {
                     self.state = State::Idle;
-                    self.events.push_back(ClientEvent::BrokerLost);
+                    self.events.push(ClientEvent::BrokerLost);
                 }
             }
         }
@@ -295,23 +295,23 @@ impl MqttConn {
                     self.outbound.clear();
                     self.inbound_rec.clear();
                 }
-                self.events.push_back(ClientEvent::Connected { session_present });
+                self.events.push(ClientEvent::Connected { session_present });
             }
             Packet::ConnAck { .. } => {
                 self.state = State::Idle;
-                self.events.push_back(ClientEvent::BrokerLost);
+                self.events.push(ClientEvent::BrokerLost);
             }
             Packet::Publish { topic, payload, retain, qos, packet_id, .. } => {
                 match qos {
                     QoS::AtMostOnce => {
-                        self.events.push_back(ClientEvent::Message { topic, payload, retain });
+                        self.events.push(ClientEvent::Message { topic, payload, retain });
                     }
                     // QoS-1 inbound: acknowledge before surfacing.
                     QoS::AtLeastOnce => {
                         if let Some(pid) = packet_id {
                             self.send_packet(sim, &Packet::PubAck { packet_id: pid });
                         }
-                        self.events.push_back(ClientEvent::Message { topic, payload, retain });
+                        self.events.push(ClientEvent::Message { topic, payload, retain });
                     }
                     // QoS-2 inbound: surface on *first* receipt only; a
                     // re-received pid (DUP after resumption) is answered
@@ -319,7 +319,7 @@ impl MqttConn {
                     QoS::ExactlyOnce => {
                         let Some(pid) = packet_id else { return };
                         if self.inbound_rec.insert(pid) {
-                            self.events.push_back(ClientEvent::Message { topic, payload, retain });
+                            self.events.push(ClientEvent::Message { topic, payload, retain });
                         }
                         self.send_packet(sim, &Packet::PubRec { packet_id: pid });
                     }
@@ -327,7 +327,7 @@ impl MqttConn {
             }
             Packet::PubAck { packet_id } => {
                 self.outbound.remove(packet_id);
-                self.events.push_back(ClientEvent::PubAck { packet_id });
+                self.events.push(ClientEvent::PubAck { packet_id });
             }
             Packet::PubRec { packet_id } => {
                 if let Some(ob) = self.outbound.get_mut(packet_id) {
@@ -342,11 +342,11 @@ impl MqttConn {
             Packet::PubComp { packet_id } => {
                 let completed = self.outbound.remove(packet_id).is_some();
                 if completed {
-                    self.events.push_back(ClientEvent::PubComp { packet_id });
+                    self.events.push(ClientEvent::PubComp { packet_id });
                 }
             }
             Packet::SubAck { packet_id, .. } => {
-                self.events.push_back(ClientEvent::SubAck { packet_id });
+                self.events.push(ClientEvent::SubAck { packet_id });
             }
             Packet::UnsubAck { .. } | Packet::PingResp => {}
             // Broker-side keep-alive probe: answer so the session's idle
@@ -360,7 +360,7 @@ impl MqttConn {
 
     /// Pop the next pending event.
     pub fn poll(&mut self) -> Option<ClientEvent> {
-        self.events.pop_front()
+        self.events.pop()
     }
 }
 

@@ -13,6 +13,8 @@
 
 use std::collections::HashMap; // keyed lookup only; `dbox audit` (DH0002) checks every iteration site
 
+use digibox_net::FxBuildHasher;
+
 /// Is `topic` a valid topic *name* (publishable)? No wildcards allowed.
 pub fn validate_topic(topic: &str) -> bool {
     !topic.is_empty()
@@ -116,13 +118,13 @@ const SYM_HASH: u32 = 1;
 /// symbol, hence no literal branch to follow).
 #[derive(Debug, Clone)]
 struct Interner {
-    map: HashMap<Box<str>, u32>,
+    map: HashMap<Box<str>, u32, FxBuildHasher>,
     names: Vec<Box<str>>,
 }
 
 impl Interner {
     fn new() -> Interner {
-        let mut it = Interner { map: HashMap::new(), names: Vec::new() };
+        let mut it = Interner { map: HashMap::default(), names: Vec::new() };
         assert_eq!(it.intern("+"), SYM_PLUS);
         assert_eq!(it.intern("#"), SYM_HASH);
         it
@@ -158,20 +160,20 @@ pub struct TopicTrie<T> {
     /// 4 bytes instead of an owned `String`. Ids survive subscription
     /// churn (epoch bumps) — an invalidated cache re-resolves under the
     /// same id without re-allocating the key.
-    topic_ids: HashMap<Box<str>, u32>,
+    topic_ids: HashMap<Box<str>, u32, FxBuildHasher>,
     epoch: u64,
 }
 
 #[derive(Debug, Clone)]
 struct Node<T> {
-    children: HashMap<u32, Node<T>>,
+    children: HashMap<u32, Node<T>, FxBuildHasher>,
     /// Values registered on the exact filter ending at this node.
     values: Vec<T>,
 }
 
 impl<T> Default for Node<T> {
     fn default() -> Self {
-        Node { children: HashMap::new(), values: Vec::new() }
+        Node { children: HashMap::default(), values: Vec::new() }
     }
 }
 
@@ -188,7 +190,7 @@ impl<T> TopicTrie<T> {
             root: Node::default(),
             len: 0,
             interner: Interner::new(),
-            topic_ids: HashMap::new(),
+            topic_ids: HashMap::default(),
             epoch: 0,
         }
     }

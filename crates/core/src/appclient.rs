@@ -16,9 +16,23 @@ use digibox_broker::{ClientEvent, MqttConn, QoS};
 use digibox_net::httpx::{Method, Request, Response};
 use digibox_net::stats::LatencyHistogram;
 use digibox_net::transport::{ReliableEndpoint, TransportEvent};
-use digibox_net::{Addr, Datagram, Service, ServiceHandle, Sim, SimDuration, SimTime, TimerToken};
+use digibox_net::{
+    Addr, Datagram, FxBuildHasher, Inbox, Service, ServiceHandle, Sim, SimDuration, SimTime,
+    TimerToken,
+};
 
+/// Token space of a REST endpoint (an MQTT session uses space 1).
 const HTTP_TOKEN_SPACE: u16 = 2;
+
+/// The REST endpoint in `slot`, made on first use. Its timer counters
+/// start at zero whenever it is made, so it arms the tokens an endpoint
+/// made with its owner would have armed.
+pub(crate) fn rest_endpoint(
+    slot: &mut Option<Box<ReliableEndpoint>>,
+    addr: Addr,
+) -> &mut ReliableEndpoint {
+    slot.get_or_insert_with(|| Box::new(ReliableEndpoint::new(addr).with_space(HTTP_TOKEN_SPACE)))
+}
 
 /// Events surfaced to application logic.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,13 +82,15 @@ pub struct AppClient {
     /// Durable (clean_session = false) MQTT session: survives broker
     /// restarts and redials on `BrokerLost` until the broker answers.
     persistent: bool,
-    http: ReliableEndpoint,
+    /// The REST client side, made by the first request (or the first
+    /// datagram from a non-broker peer): an MQTT-only client never has one.
+    http: Option<Box<ReliableEndpoint>>,
     /// In-flight REST requests per server, FIFO (responses are ordered by
     /// the reliable channel).
-    pending: HashMap<Addr, VecDeque<PendingRequest>>,
+    pending: HashMap<Addr, VecDeque<PendingRequest>, FxBuildHasher>,
     next_request_id: u64,
     latencies: LatencyHistogram,
-    events: VecDeque<AppEvent>,
+    events: Inbox<AppEvent>,
 }
 
 impl AppClient {
@@ -85,11 +101,11 @@ impl AppClient {
             conn: None,
             broker: None,
             persistent: false,
-            http: ReliableEndpoint::new(addr).with_space(HTTP_TOKEN_SPACE),
-            pending: HashMap::new(),
+            http: None,
+            pending: HashMap::default(),
             next_request_id: 0,
             latencies: LatencyHistogram::new(),
-            events: VecDeque::new(),
+            events: Inbox::default(),
         }))
     }
 
@@ -168,7 +184,7 @@ impl AppClient {
             .entry(server)
             .or_default()
             .push_back(PendingRequest { request_id, sent_at: sim.now() });
-        self.http.send(sim, server, req.encode());
+        rest_endpoint(&mut self.http, self.addr).send(sim, server, req.encode());
         request_id
     }
 
@@ -188,16 +204,16 @@ impl AppClient {
 
     /// Pop the next application event.
     pub fn poll(&mut self) -> Option<AppEvent> {
-        self.events.pop_front()
+        self.events.pop()
     }
 
     /// Drain every pending event.
     pub fn poll_all(&mut self) -> Vec<AppEvent> {
-        self.events.drain(..).collect()
+        std::iter::from_fn(|| self.events.pop()).collect()
     }
 
     fn pump(&mut self, sim: &mut Sim) {
-        while let Some(ev) = self.http.poll() {
+        while let Some(ev) = self.http.as_mut().and_then(|h| h.poll()) {
             match ev {
                 TransportEvent::Delivered { peer, payload } => {
                     let Some(pending) = self.pending.get_mut(&peer).and_then(|q| q.pop_front())
@@ -207,7 +223,7 @@ impl AppClient {
                     let latency = sim.now() - pending.sent_at;
                     self.latencies.record(latency);
                     match Response::decode(&payload) {
-                        Ok(resp) => self.events.push_back(AppEvent::Response {
+                        Ok(resp) => self.events.push(AppEvent::Response {
                             request_id: pending.request_id,
                             status: resp.status,
                             body: resp.body,
@@ -215,13 +231,13 @@ impl AppClient {
                         }),
                         Err(_) => self
                             .events
-                            .push_back(AppEvent::RequestFailed { request_id: pending.request_id }),
+                            .push(AppEvent::RequestFailed { request_id: pending.request_id }),
                     }
                 }
                 TransportEvent::PeerFailed { peer } => {
                     if let Some(q) = self.pending.remove(&peer) {
                         for p in q {
-                            self.events.push_back(AppEvent::RequestFailed { request_id: p.request_id });
+                            self.events.push(AppEvent::RequestFailed { request_id: p.request_id });
                         }
                     }
                 }
@@ -231,11 +247,11 @@ impl AppClient {
             while let Some(ev) = conn.poll() {
                 match ev {
                     ClientEvent::Message { topic, payload, .. } => {
-                        self.events.push_back(AppEvent::Message { topic, payload });
+                        self.events.push(AppEvent::Message { topic, payload });
                     }
-                    ClientEvent::Connected { .. } => self.events.push_back(AppEvent::MqttConnected),
+                    ClientEvent::Connected { .. } => self.events.push(AppEvent::MqttConnected),
                     ClientEvent::BrokerLost => {
-                        self.events.push_back(AppEvent::MqttBrokerLost);
+                        self.events.push(AppEvent::MqttBrokerLost);
                         if self.persistent {
                             // Redial on the spot: if the broker is still
                             // down the CONNECT's own retries exhaust into
@@ -267,13 +283,14 @@ impl Service for AppClient {
                 conn.on_datagram(sim, dg);
             }
         } else {
-            self.http.on_datagram(sim, dg);
+            rest_endpoint(&mut self.http, self.addr).on_datagram(sim, dg);
         }
         self.pump(sim);
     }
 
     fn on_timer(&mut self, sim: &mut Sim, token: TimerToken) {
-        let mut handled = self.http.on_timer(sim, token);
+        // No HTTP timer is armed before the endpoint exists.
+        let mut handled = self.http.as_mut().is_some_and(|h| h.on_timer(sim, token));
         if !handled {
             if let Some(conn) = self.conn.as_mut() {
                 handled = conn.on_timer(sim, token);

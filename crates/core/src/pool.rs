@@ -66,9 +66,12 @@ use digibox_broker::{ClientEvent, MqttConn, QoS};
 use digibox_model::{Model, Path, Value};
 use digibox_net::httpx::{Request, Response};
 use digibox_net::transport::{ReliableEndpoint, TransportEvent};
-use digibox_net::{Addr, Datagram, Prng, Service, ServiceHandle, Sim, SimDuration, TimerToken};
+use digibox_net::{
+    Addr, Datagram, FxBuildHasher, Prng, Service, ServiceHandle, Sim, SimDuration, TimerToken,
+};
 use digibox_trace::TraceLog;
 
+use crate::appclient::rest_endpoint;
 use crate::cell::{DigiCell, Outbox};
 use crate::program::DigiProgram;
 use crate::topics;
@@ -81,8 +84,6 @@ const TICK_TOKEN_TAG: TimerToken = 1 << 59;
 const RESPONSE_TOKEN_TAG: TimerToken = 1 << 60;
 /// Tag bit for delayed intents (actuation latency).
 const ACTUATION_TOKEN_TAG: TimerToken = 1 << 61;
-/// Token space of the HTTP endpoint (the MQTT session uses space 1).
-const HTTP_TOKEN_SPACE: u16 = 2;
 
 /// Pool-level counters.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -99,6 +100,9 @@ pub struct PoolStats {
     pub messages_in: u64,
 }
 
+/// A delayed intent: the cell it lands on and its field updates.
+type PendingActuation = (usize, Vec<(Path, Value)>);
+
 /// One tick group: every hosted cell sharing a loop interval, driven by a
 /// single kernel-wheel entry.
 struct TickGroup {
@@ -113,7 +117,9 @@ struct TickGroup {
 pub struct DigiPool {
     addr: Addr,
     conn: MqttConn,
-    http: ReliableEndpoint,
+    /// The REST server side, made by the first datagram from a peer other
+    /// than the broker: a host nobody sends requests to never has one.
+    http: Option<Box<ReliableEndpoint>>,
     /// Last-will registered with every CONNECT (dedicated digis).
     will: Option<(String, Bytes)>,
     /// Hosted cells in host order.
@@ -127,9 +133,9 @@ pub struct DigiPool {
     started: bool,
     service_overhead: SimDuration,
     overhead_rng: Prng,
-    pending_actuations: HashMap<TimerToken, (usize, Vec<(Path, Value)>)>,
+    pending_actuations: HashMap<TimerToken, PendingActuation, FxBuildHasher>,
     next_actuation_token: u64,
-    pending_responses: HashMap<TimerToken, (Addr, Bytes)>,
+    pending_responses: HashMap<TimerToken, (Addr, Bytes), FxBuildHasher>,
     next_response_token: u64,
     /// Set when the MQTT session died (transport exhausted retries to the
     /// broker, e.g. during a partition or a broker crash); the next tick
@@ -150,7 +156,7 @@ impl DigiPool {
         DigiPool {
             addr,
             conn,
-            http: ReliableEndpoint::new(addr).with_space(HTTP_TOKEN_SPACE),
+            http: None,
             will,
             cells: Vec::new(),
             ids: BTreeMap::new(),
@@ -158,9 +164,9 @@ impl DigiPool {
             started: false,
             service_overhead,
             overhead_rng,
-            pending_actuations: HashMap::new(),
+            pending_actuations: HashMap::default(),
             next_actuation_token: 0,
-            pending_responses: HashMap::new(),
+            pending_responses: HashMap::default(),
             next_response_token: 0,
             reconnect_pending: false,
             broker_losses: 0,
@@ -504,7 +510,7 @@ impl DigiPool {
         };
         let bytes = response.encode();
         if self.service_overhead == SimDuration::ZERO {
-            self.http.send(sim, peer, bytes);
+            rest_endpoint(&mut self.http, self.addr).send(sim, peer, bytes);
         } else {
             // Request-processing time grows with node load: a node crowded
             // with mock containers serves each request more slowly (the
@@ -538,7 +544,7 @@ impl DigiPool {
                 | ClientEvent::PubComp { .. } => {}
             }
         }
-        while let Some(ev) = self.http.poll() {
+        while let Some(ev) = self.http.as_mut().and_then(|h| h.poll()) {
             match ev {
                 TransportEvent::Delivered { peer, payload } => {
                     self.handle_http(sim, peer, &payload)
@@ -562,7 +568,7 @@ impl Service for DigiPool {
         if dg.src == self.conn.broker() {
             self.conn.on_datagram(sim, dg);
         } else {
-            self.http.on_datagram(sim, dg);
+            rest_endpoint(&mut self.http, self.addr).on_datagram(sim, dg);
         }
         self.pump(sim);
     }
@@ -572,7 +578,8 @@ impl Service for DigiPool {
             self.pump(sim);
             return;
         }
-        if self.http.on_timer(sim, token) {
+        // No HTTP timer is armed before the endpoint exists.
+        if self.http.as_mut().is_some_and(|h| h.on_timer(sim, token)) {
             self.pump(sim);
             return;
         }
@@ -590,7 +597,7 @@ impl Service for DigiPool {
             self.flush(sim, out);
         } else if token & RESPONSE_TOKEN_TAG != 0 {
             if let Some((peer, bytes)) = self.pending_responses.remove(&token) {
-                self.http.send(sim, peer, bytes);
+                rest_endpoint(&mut self.http, self.addr).send(sim, peer, bytes);
             }
         }
     }

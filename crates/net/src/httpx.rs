@@ -294,6 +294,7 @@ fn check_body(headers: &BTreeMap<String, String>, body: &[u8]) -> Result<Bytes, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{for_each_seed, Prng};
 
     #[test]
     fn request_roundtrip() {
@@ -358,5 +359,101 @@ mod tests {
     fn path_segments_ignore_empties() {
         let req = Request::new(Method::Get, "//model//L1/");
         assert_eq!(req.path_segments(), ["model", "L1"]);
+    }
+
+    /// The encoding of a well-formed request or response with random
+    /// method or status, path, headers and body.
+    fn valid_encoding(rng: &mut Prng, request: bool) -> Vec<u8> {
+        let mut headers = BTreeMap::new();
+        for _ in 0..rng.range_usize(0, 4) {
+            headers.insert(
+                rng.string("abcXYZ-_", 1, 8).to_ascii_lowercase(),
+                rng.string("abc 019:/;=", 0, 10),
+            );
+        }
+        let trimmed: BTreeMap<String, String> =
+            headers.into_iter().map(|(k, v)| (k, v.trim().to_string())).collect();
+        let body = Bytes::from(rng.string("{}\":,ab01 ", 0, 24));
+        let out = if request {
+            let method = *rng
+                .choice(&[Method::Get, Method::Put, Method::Post, Method::Delete])
+                .expect("non-empty");
+            let req =
+                Request { method, path: rng.string("/abcXYZ019-_", 0, 16), headers: trimmed, body };
+            let out = req.encode();
+            assert_eq!(Request::decode(&out), Ok(req), "valid request does not round-trip");
+            out
+        } else {
+            let status =
+                *rng.choice(&[200, 201, 204, 400, 404, 409, 500, 503, 299, 0]).expect("non-empty");
+            let resp = Response { status, headers: trimmed, body };
+            let out = resp.encode();
+            assert_eq!(Response::decode(&out), Ok(resp), "valid response does not round-trip");
+            out
+        };
+        out.to_vec()
+    }
+
+    /// One random edit: flip a bit, insert a byte (often one the codec
+    /// splits on), delete a byte, or truncate.
+    fn mutate(rng: &mut Prng, buf: &mut Vec<u8>) {
+        match rng.range_u64(0, 4) {
+            0 if !buf.is_empty() => {
+                let i = rng.range_usize(0, buf.len());
+                buf[i] ^= 1 << rng.range_u64(0, 8);
+            }
+            1 => {
+                let byte = if rng.coin() {
+                    *rng.choice(b"\r\n :0123456789").expect("non-empty")
+                } else {
+                    rng.next_u64() as u8
+                };
+                let at = rng.range_usize(0, buf.len() + 1);
+                buf.insert(at, byte);
+            }
+            2 if !buf.is_empty() => {
+                let at = rng.range_usize(0, buf.len());
+                buf.remove(at);
+            }
+            _ => buf.truncate(rng.range_usize(0, buf.len() + 1)),
+        }
+    }
+
+    #[test]
+    fn mutated_messages_never_panic_and_accepted_ones_roundtrip() {
+        let accepted = std::cell::Cell::new([0u32; 2]);
+        for_each_seed(300, |rng| {
+            for i in 0..400 {
+                let request = i % 2 == 0;
+                let mut buf = valid_encoding(rng, request);
+                for _ in 0..rng.range_usize(1, 4) {
+                    mutate(rng, &mut buf);
+                }
+                let mut n = accepted.get();
+                if request {
+                    if let Ok(req) = Request::decode(&buf) {
+                        assert_eq!(
+                            Request::decode(&req.encode()),
+                            Ok(req),
+                            "accepted request: {buf:?}"
+                        );
+                        n[0] += 1;
+                    }
+                } else if let Ok(resp) = Response::decode(&buf) {
+                    assert_eq!(
+                        Response::decode(&resp.encode()),
+                        Ok(resp),
+                        "accepted response: {buf:?}"
+                    );
+                    n[1] += 1;
+                }
+                accepted.set(n);
+            }
+        });
+        let [req, resp] = accepted.get();
+        assert!(
+            req > 1000 && resp > 1000,
+            "too few mutants decoded to test the round trip: {req} requests, {resp} responses"
+        );
     }
 }

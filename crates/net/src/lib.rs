@@ -11,6 +11,8 @@
 //! * [`transport`] — a reliable, ordered message channel (sequence numbers,
 //!   cumulative acks, retransmission) built on the lossy datagram layer.
 //! * [`httpx`] — an HTTP/1.1-subset codec for the REST device API.
+//! * [`Inbox`] — the endpoints' event FIFO, one event inline;
+//!   [`FxBuildHasher`] — the seedless hasher of the messaging maps.
 //! * [`stats`] — counters and a log-bucketed latency histogram used by the
 //!   microbenchmarks.
 //!
@@ -23,7 +25,9 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+mod fxhash;
 pub mod httpx;
+mod inbox;
 mod kernel;
 mod prng;
 pub mod stats;
@@ -33,6 +37,8 @@ pub mod transport;
 pub mod wheel;
 
 pub use chaos::{FaultKind, FaultPlan, FaultSpec, FaultWindow};
+pub use fxhash::{FxBuildHasher, FxHasher};
+pub use inbox::Inbox;
 pub use kernel::{Datagram, RemoteDatagram, Service, ServiceHandle, Sim, SimConfig, TimerToken};
 pub use wheel::EventWheel;
 pub use prng::{for_each_seed, Prng};

@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque}; // keyed lookup only; `dbox
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::{Addr, Datagram, Sim, SimDuration, TimerToken};
+use crate::{Addr, Datagram, FxBuildHasher, Inbox, Sim, SimDuration, TimerToken};
 
 const FRAME_DATA: u8 = 0x01;
 const FRAME_ACK: u8 = 0x02;
@@ -77,12 +77,12 @@ pub enum TransportEvent {
 /// indexed by sequence number, not in a tree that keeps an empty leaf
 /// node at both ends of every connection once its window drains. The
 /// trade-off: this deque, the endpoint's timer deque and the MQTT pid
-/// maps keep the capacity of the deepest window they held, where a tree
-/// freed its nodes as ACKs drained it. Measured against the wheel change
-/// alone, that costs +1.7–2.1 MiB peak RSS on perfbench's `chaos_qos2`
-/// (partition windows) and +12.4–12.9 MiB VmHWM on E13's pooled 100k
-/// (10k frames in flight per pool stream), and saves 11.7 MiB on
-/// `telemetry_fanin` (10k sessions with one frame in flight each).
+/// maps keep the capacity of the deepest window they held. A connection
+/// costs this 88-byte record plus its 8-byte key in `conns`, and, once
+/// it has sent, an `unacked` buffer of at least four 32-byte entries
+/// (a 24-byte `Bytes` and the retry count); a pool stream with 10k
+/// frames in flight keeps 10k entries. DESIGN.md §4 has the measured
+/// bytes per client.
 #[derive(Debug, Default)]
 struct ConnState {
     /// This side's connection incarnation, stamped on every outgoing DATA
@@ -134,7 +134,7 @@ pub struct ReliableEndpoint {
     space: u16,
     rto: SimDuration,
     max_retries: u32,
-    conns: HashMap<Addr, ConnState>,
+    conns: HashMap<Addr, ConnState, FxBuildHasher>,
     /// Retransmit timers by token counter: entry `i` belongs to counter
     /// `first_token + i` (token `RELIABLE_TIMER_BIT | space << 48 |
     /// counter`) and is `Some((peer, seq))` while armed; the next counter
@@ -151,7 +151,7 @@ pub struct ReliableEndpoint {
     first_token: u64,
     /// `Some` entries in `timers`.
     armed: usize,
-    events: VecDeque<TransportEvent>,
+    events: Inbox<TransportEvent>,
     /// DATA frames retransmitted after an RTO firing.
     retransmits: u64,
     /// Duplicate DATA frames received (already delivered or already
@@ -172,11 +172,11 @@ impl ReliableEndpoint {
             space: 0,
             rto,
             max_retries,
-            conns: HashMap::new(),
+            conns: HashMap::default(),
             timers: VecDeque::new(),
             first_token: 0,
             armed: 0,
-            events: VecDeque::new(),
+            events: Inbox::default(),
             retransmits: 0,
             duplicates: 0,
         }
@@ -317,7 +317,7 @@ impl ReliableEndpoint {
         } else if seq == conn.recv_cursor && conn.reorder.is_empty() {
             // The common case: the next frame in order, no gap pending.
             conn.recv_cursor += 1;
-            self.events.push_back(TransportEvent::Delivered { peer, payload });
+            self.events.push(TransportEvent::Delivered { peer, payload });
         } else {
             match conn.reorder.entry(seq) {
                 Entry::Occupied(_) => self.duplicates += 1,
@@ -328,7 +328,7 @@ impl ReliableEndpoint {
             // Drain the in-order prefix.
             while let Some(p) = conn.reorder.remove(&conn.recv_cursor) {
                 conn.recv_cursor += 1;
-                self.events.push_back(TransportEvent::Delivered { peer, payload: p });
+                self.events.push(TransportEvent::Delivered { peer, payload: p });
             }
         }
         let cursor = conn.recv_cursor;
@@ -379,7 +379,7 @@ impl ReliableEndpoint {
                 self.armed -= 1;
             }
             self.trim_timers();
-            self.events.push_back(TransportEvent::PeerFailed { peer });
+            self.events.push(TransportEvent::PeerFailed { peer });
             return true;
         }
         let frame = frame.clone();
@@ -409,7 +409,7 @@ impl ReliableEndpoint {
 
     /// Pop the next application-level event, if any.
     pub fn poll(&mut self) -> Option<TransportEvent> {
-        self.events.pop_front()
+        self.events.pop()
     }
 }
 
@@ -499,6 +499,19 @@ mod tests {
         sim.bind(a, pa.clone());
         sim.bind(b, pb.clone());
         (sim, pa, pb, a, b)
+    }
+
+    #[test]
+    fn message_carriers_keep_their_size() {
+        // Every datagram, timer-wheel entry, retransmit entry and event
+        // carries a `Bytes`: a field that regrows one regrows them all.
+        use std::mem::size_of;
+        assert_eq!(size_of::<Bytes>(), 24);
+        assert_eq!(size_of::<Datagram>(), 40);
+        assert_eq!(size_of::<TransportEvent>(), 40);
+        assert_eq!(size_of::<ConnState>(), 88);
+        assert_eq!(size_of::<(Bytes, u32)>(), 32, "an `unacked` entry");
+        assert_eq!(size_of::<FxBuildHasher>(), 0, "a seedless map stores no hasher state");
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! Only `Bytes::copy_from_slice`, `copy_to_bytes` on a non-`Bytes` buffer
 //! and `to_vec` copy. The storage is an `Arc`, so a `Bytes` is `Send`:
 //! islands hand datagrams across worker threads.
+//!
+//! A `Bytes` is 24 bytes: the window offsets are `u32`, so one buffer
+//! holds at most `u32::MAX` bytes (4 GiB) and a larger one panics when it
+//! is made. Every datagram, timer-wheel entry, retransmit entry and event
+//! carries a `Bytes`, and no message comes near the cap.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -35,8 +40,14 @@ enum Storage {
 #[derive(Clone)]
 pub struct Bytes {
     data: Storage,
-    start: usize,
-    end: usize,
+    start: u32,
+    end: u32,
+}
+
+/// The `u32` end offset of a whole buffer of `len` bytes.
+fn buffer_end(len: usize) -> u32 {
+    u32::try_from(len)
+        .unwrap_or_else(|_| panic!("Bytes buffer of {len} bytes exceeds the 4 GiB cap"))
 }
 
 impl Bytes {
@@ -45,7 +56,7 @@ impl Bytes {
     }
 
     pub fn from_static(b: &'static [u8]) -> Bytes {
-        Bytes { data: Storage::Static(b), start: 0, end: b.len() }
+        Bytes { data: Storage::Static(b), start: 0, end: buffer_end(b.len()) }
     }
 
     pub fn copy_from_slice(b: &[u8]) -> Bytes {
@@ -56,12 +67,12 @@ impl Bytes {
         if v.is_empty() {
             return Bytes::new();
         }
-        let end = v.len();
+        let end = buffer_end(v.len());
         Bytes { data: Storage::Shared(Arc::new(v)), start: 0, end }
     }
 
     pub fn len(&self) -> usize {
-        self.end - self.start
+        (self.end - self.start) as usize
     }
 
     pub fn is_empty(&self) -> bool {
@@ -82,7 +93,12 @@ impl Bytes {
             Bound::Unbounded => self.len(),
         };
         assert!(lo <= hi && hi <= self.len());
-        Bytes { data: self.data.clone(), start: self.start + lo, end: self.start + hi }
+        // Both bounds are within the window, so they fit its u32 offsets.
+        Bytes {
+            data: self.data.clone(),
+            start: self.start + lo as u32,
+            end: self.start + hi as u32,
+        }
     }
 }
 
@@ -99,7 +115,7 @@ impl Deref for Bytes {
             Storage::Static(b) => b,
             Storage::Shared(v) => v,
         };
-        &all[self.start..self.end]
+        &all[self.start as usize..self.end as usize]
     }
 }
 
@@ -310,7 +326,7 @@ impl Buf for Bytes {
     }
     fn advance(&mut self, n: usize) {
         assert!(n <= self.len());
-        self.start += n;
+        self.start += n as u32;
     }
     /// The next `n` bytes as a window onto the same storage.
     fn copy_to_bytes(&mut self, n: usize) -> Bytes {
@@ -394,6 +410,30 @@ mod tests {
         assert_eq!(taken.as_ptr(), base.wrapping_add(1), "copy_to_bytes on Bytes is a slice");
         assert_eq!(&cur[..], b"efgh");
         assert_eq!(cur.as_ptr(), base.wrapping_add(4));
+    }
+
+    #[test]
+    fn windows_ending_at_the_buffer_end_share_storage() {
+        let frozen = Bytes::from(b"abcdefgh".to_vec());
+        let (base, len) = (frozen.as_ptr(), frozen.len());
+        let tail = frozen.slice(len..);
+        assert!(tail.is_empty());
+        assert_eq!(
+            tail.as_ptr(),
+            base.wrapping_add(len),
+            "slice(len..) is a window, not a fresh buffer"
+        );
+        let mut cur = frozen.slice(3..);
+        cur.advance(len - 3);
+        assert!(cur.is_empty());
+        assert_eq!(cur.as_ptr(), base.wrapping_add(len), "advance(len) keeps the window");
+        assert_eq!(&frozen.slice(len - 1..)[..], b"h");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 4 GiB cap")]
+    fn buffers_past_the_u32_offsets_panic_with_the_cap() {
+        buffer_end(u32::MAX as usize + 1);
     }
 
     #[test]
