@@ -14,7 +14,7 @@ use digibox_net::{
     Addr, Datagram, FxBuildHasher, Service, ServiceHandle, Sim, SimDuration, SimTime, TimerToken,
 };
 
-use crate::packet::{Packet, PublishRef, QoS};
+use crate::packet::{InFlight, Packet, PublishRef, QoS};
 use crate::pidmap::PidMap;
 use crate::topic::{literal_prefix, parse_share, validate_filter, validate_topic, TopicTrie};
 
@@ -118,19 +118,6 @@ struct SubEntry {
     group: Option<Rc<str>>,
 }
 
-/// An in-flight broker→client publish, kept until the handshake completes
-/// so a resumed session can be caught up with DUP retransmits.
-#[derive(Debug, Clone)]
-struct OutboundPub {
-    topic: String,
-    payload: Bytes,
-    qos: QoS,
-    retain: bool,
-    /// QoS 2 only: PUBREC came back and PUBREL went out, so PUBCOMP is
-    /// awaited. Otherwise the publish awaits PUBACK (QoS 1) or PUBREC.
-    released: bool,
-}
-
 /// Durable state of one persistent (non-clean) session, as stashed across
 /// disconnects and exported/imported around a broker restart
 /// ([`Broker::export_sessions`] / [`Broker::import_sessions`]).
@@ -192,7 +179,7 @@ struct Session {
     inbound_rec: BTreeSet<u16>,
     /// In-flight broker→client QoS 1/2 deliveries, in pid order so
     /// resumption retransmits deterministically.
-    outbound: PidMap<OutboundPub>,
+    outbound: PidMap<InFlight>,
 }
 
 impl Session {
@@ -209,7 +196,9 @@ impl Session {
 }
 
 /// Freeze a live session's durable state (pid and BTree order keep the
-/// snapshot's vectors sorted, hence byte-stable when serialized).
+/// snapshot's vectors sorted, hence byte-stable when serialized). Each
+/// in-flight publish is decoded from the packet it was sent as; its
+/// payload stays a window onto that packet.
 fn snapshot_of(s: &Session) -> SessionSnapshot {
     SessionSnapshot {
         client_id: s.client_id.clone(),
@@ -220,13 +209,16 @@ fn snapshot_of(s: &Session) -> SessionSnapshot {
         outbound: s
             .outbound
             .iter()
-            .map(|(pid, ob)| OutboundSnapshot {
-                packet_id: pid,
-                topic: ob.topic.clone(),
-                payload: ob.payload.clone(),
-                qos: ob.qos,
-                retain: ob.retain,
-                released: ob.released,
+            .map(|(pid, ob)| match Packet::decode_shared(&ob.packet) {
+                Ok(Packet::Publish { topic, payload, qos, retain, .. }) => OutboundSnapshot {
+                    packet_id: pid,
+                    topic,
+                    payload,
+                    qos,
+                    retain,
+                    released: ob.released,
+                },
+                other => unreachable!("in-flight pid {pid} is not a stored PUBLISH: {other:?}"),
             })
             .collect(),
     }
@@ -386,6 +378,10 @@ impl Broker {
     /// client reconnects with `clean_session = false`. The pid allocator
     /// is advanced past every imported in-flight id so new deliveries
     /// cannot collide with a half-finished handshake.
+    ///
+    /// A resumed session keeps each in-flight publish as its MQTT
+    /// encoding, so its topic and payload must fit one PUBLISH packet (a
+    /// topic of at most 65,535 bytes), as every exported one does.
     pub fn import_sessions(&mut self, snapshots: Vec<SessionSnapshot>) {
         for snap in snapshots {
             for ob in &snap.outbound {
@@ -458,15 +454,17 @@ impl Broker {
                         .outbound
                         .into_iter()
                         .map(|ob| {
+                            let packet = Packet::Publish {
+                                dup: false,
+                                qos: ob.qos,
+                                retain: ob.retain,
+                                topic: ob.topic,
+                                packet_id: Some(ob.packet_id),
+                                payload: ob.payload,
+                            };
                             (
                                 ob.packet_id,
-                                OutboundPub {
-                                    topic: ob.topic,
-                                    payload: ob.payload,
-                                    qos: ob.qos,
-                                    retain: ob.retain,
-                                    released: ob.released,
-                                },
+                                InFlight { packet: packet.encode(), released: ob.released },
                             )
                         })
                         .collect();
@@ -808,21 +806,12 @@ impl Broker {
         };
         self.stats.publishes_out += 1;
         let publish = PublishRef { dup: false, qos, retain, topic, packet_id, payload };
-        self.ep.send_with(sim, to, publish.encoded_len(), |b| publish.encode_into(b));
+        let packet = self.ep.send_with(sim, to, publish.encoded_len(), |b| publish.encode_into(b));
         if let Some(pid) = packet_id {
             // Track the in-flight delivery so a resumed session can be
             // caught up with a DUP retransmit.
             if let Some(s) = self.sessions.get_mut(&to) {
-                s.outbound.insert(
-                    pid,
-                    OutboundPub {
-                        topic: topic.to_string(),
-                        payload: payload.clone(),
-                        qos,
-                        retain,
-                        released: false,
-                    },
-                );
+                s.outbound.insert(pid, InFlight { packet, released: false });
             }
         }
     }
@@ -832,22 +821,14 @@ impl Broker {
     /// pids re-send PUBREL. Pid order keeps the schedule deterministic.
     fn retransmit_session(&mut self, sim: &mut Sim, to: Addr) {
         let Some(s) = self.sessions.get(&to) else { return };
-        let resend: Vec<(u16, OutboundPub)> =
+        let resend: Vec<(u16, InFlight)> =
             s.outbound.iter().map(|(pid, ob)| (pid, ob.clone())).collect();
         for (pid, ob) in resend {
             if ob.released {
                 self.send_packet(sim, to, &Packet::PubRel { packet_id: pid });
             } else {
                 self.stats.publishes_out += 1;
-                let pkt = Packet::Publish {
-                    dup: true,
-                    qos: ob.qos,
-                    retain: ob.retain,
-                    topic: ob.topic,
-                    packet_id: Some(pid),
-                    payload: ob.payload,
-                };
-                self.send_packet(sim, to, &pkt);
+                self.ep.send_with(sim, to, ob.packet.len(), |b| ob.put_dup(b));
             }
         }
     }
@@ -1003,15 +984,21 @@ mod tests {
     use crate::client::{ClientEvent, MqttConn};
     use digibox_net::{NodeSpec, SimConfig, Topology};
 
-    /// A service wrapping MqttConn that records every event.
+    /// A service wrapping MqttConn that records every event and every
+    /// datagram it receives.
     struct TestClient {
         conn: MqttConn,
         events: Vec<ClientEvent>,
+        datagrams: Vec<Bytes>,
     }
 
     impl TestClient {
         fn new(local: Addr, broker: Addr, id: &str) -> ServiceHandle<TestClient> {
-            Rc::new(RefCell::new(TestClient { conn: MqttConn::new(local, broker, id), events: Vec::new() }))
+            Rc::new(RefCell::new(TestClient {
+                conn: MqttConn::new(local, broker, id),
+                events: Vec::new(),
+                datagrams: Vec::new(),
+            }))
         }
         fn drain(&mut self) {
             while let Some(ev) = self.conn.poll() {
@@ -1033,6 +1020,7 @@ mod tests {
 
     impl Service for TestClient {
         fn on_datagram(&mut self, sim: &mut Sim, dg: Datagram) {
+            self.datagrams.push(dg.payload.clone());
             self.conn.on_datagram(sim, dg);
             self.drain();
         }
@@ -1040,6 +1028,50 @@ mod tests {
             self.conn.on_timer(sim, token);
             self.drain();
         }
+    }
+
+    /// A broker behind a recorder of every datagram it receives.
+    struct BrokerTap {
+        broker: ServiceHandle<Broker>,
+        datagrams: Vec<Bytes>,
+    }
+
+    impl Service for BrokerTap {
+        fn on_datagram(&mut self, sim: &mut Sim, dg: Datagram) {
+            self.datagrams.push(dg.payload.clone());
+            self.broker.borrow_mut().on_datagram(sim, dg);
+        }
+        fn on_timer(&mut self, sim: &mut Sim, token: TimerToken) {
+            self.broker.borrow_mut().on_timer(sim, token);
+        }
+    }
+
+    /// The PUBLISH packets with DUP set among transport `datagrams`, in
+    /// send order. Each is a DATA frame (kind 0x01, incarnation, sequence
+    /// number) whose packet follows the 17-byte header; link jitter can
+    /// reorder arrivals, so they are sorted by sequence number.
+    fn dup_publishes(datagrams: &[Bytes]) -> Vec<Bytes> {
+        let mut frames: Vec<(u64, Bytes)> = datagrams
+            .iter()
+            .filter(|d| d.len() > 17 && d[0] == 0x01 && d[17] >> 4 == 3 && d[17] & 0b1000 != 0)
+            .map(|d| (u64::from_be_bytes(d[9..17].try_into().unwrap()), d.slice(17..)))
+            .collect();
+        frames.sort_by_key(|f| f.0);
+        frames.into_iter().map(|f| f.1).collect()
+    }
+
+    /// `Packet::Publish { dup: true, .. }` on "w/t" with the pid as its
+    /// payload, encoded.
+    fn dup_encoding(pid: u16, qos: QoS) -> Bytes {
+        Packet::Publish {
+            dup: true,
+            qos,
+            retain: false,
+            topic: "w/t".into(),
+            packet_id: Some(pid),
+            payload: Bytes::from(pid.to_string()),
+        }
+        .encode()
     }
 
     struct Rig {
@@ -1759,7 +1791,52 @@ mod tests {
         assert_eq!(pids, [1, 2, 65534, 65535]);
         for o in &snap.outbound {
             assert_eq!(o.payload, o.packet_id.to_string().as_bytes());
+            assert_eq!((o.topic.as_str(), o.qos, o.retain), ("w/t", QoS::AtLeastOnce, false));
+            assert!(!o.released);
         }
+    }
+
+    #[test]
+    fn broker_dup_resends_are_the_dup_encoding_in_pid_order() {
+        let mut rig = Rig::new();
+        let sub_addr = Addr::new(rig.broker_addr.node, 24_200);
+        let sub = TestClient::new(sub_addr, rig.broker_addr, "dup-sub");
+        rig.sim.bind(sub_addr, sub.clone());
+        sub.borrow_mut().conn.connect_persistent(&mut rig.sim, None);
+        rig.sim.run_to_completion();
+        sub.borrow_mut().conn.subscribe(&mut rig.sim, &[("w/t", QoS::ExactlyOnce)]);
+        rig.sim.run_to_completion();
+        let (publisher, _) = rig.client("dup-pub");
+        // The subscriber goes dark with four QoS 2 deliveries in flight
+        // under pids 65534, 65535, 1, 2.
+        rig.sim.unbind(sub_addr);
+        rig.broker.borrow_mut().next_pid = 65_534;
+        for pid in ["65534", "65535", "1", "2"] {
+            let mut p = publisher.borrow_mut();
+            p.conn.publish(&mut rig.sim, "w/t", pid.as_bytes(), QoS::ExactlyOnce, false);
+        }
+        rig.sim.run_for(SimDuration::from_millis(100));
+        // The same client id reconnects from another address: the takeover
+        // stashes the session (decoding each stored packet into its
+        // snapshot) and the resumption encodes them again and resends each
+        // with DUP set.
+        let back_addr = Addr::new(rig.broker_addr.node, 24_201);
+        let back = TestClient::new(back_addr, rig.broker_addr, "dup-sub");
+        rig.sim.bind(back_addr, back.clone());
+        back.borrow_mut().conn.connect_persistent(&mut rig.sim, None);
+        rig.sim.run_for(SimDuration::from_secs(1));
+        assert!(back.borrow().events.contains(&ClientEvent::Connected { session_present: true }));
+        let want: Vec<Bytes> =
+            [1, 2, 65534, 65535].map(|pid| dup_encoding(pid, QoS::ExactlyOnce)).into();
+        assert_eq!(dup_publishes(&back.borrow().datagrams), want, "DUP resends, byte for byte");
+        let got: Vec<Vec<u8>> = back.borrow().messages().into_iter().map(|(_, p)| p).collect();
+        let want: Vec<Vec<u8>> = ["1", "2", "65534", "65535"].map(|p| p.as_bytes().to_vec()).into();
+        assert_eq!(got, want);
+        assert_eq!(
+            rig.broker.borrow().stats().qos2_completed,
+            4,
+            "every resumed handshake completed"
+        );
     }
 
     #[test]
@@ -1787,7 +1864,9 @@ mod tests {
         // subscriber in the order the client sent them.
         let broker2 = Broker::new(rig.broker_addr);
         broker2.borrow_mut().import_sessions(snaps);
-        rig.sim.bind(rig.broker_addr, broker2.clone());
+        let tap =
+            Rc::new(RefCell::new(BrokerTap { broker: broker2.clone(), datagrams: Vec::new() }));
+        rig.sim.bind(rig.broker_addr, tap.clone());
         rig.broker = broker2;
         let (sub, _) = rig.client("order-sub");
         sub.borrow_mut().conn.subscribe(&mut rig.sim, &[("w/t", QoS::AtMostOnce)]);
@@ -1799,5 +1878,8 @@ mod tests {
         let got: Vec<Vec<u8>> = sub.borrow().messages().into_iter().map(|(_, p)| p).collect();
         let want: Vec<Vec<u8>> = ["1", "2", "65534", "65535"].map(|p| p.as_bytes().to_vec()).into();
         assert_eq!(got, want, "DUP resends go out in pid order");
+        let want: Vec<Bytes> =
+            [1, 2, 65534, 65535].map(|pid| dup_encoding(pid, QoS::AtLeastOnce)).into();
+        assert_eq!(dup_publishes(&tap.borrow().datagrams), want, "DUP resends, byte for byte");
     }
 }

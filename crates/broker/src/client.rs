@@ -9,7 +9,7 @@ use bytes::Bytes;
 use digibox_net::transport::{ReliableEndpoint, TransportEvent};
 use digibox_net::{Addr, Datagram, Inbox, Sim, TimerToken};
 
-use crate::packet::{ConnectFlags, Packet, PublishRef, QoS};
+use crate::packet::{ConnectFlags, InFlight, Packet, PublishRef, QoS};
 use crate::pidmap::PidMap;
 
 /// Events surfaced to the owner of an [`MqttConn`].
@@ -55,20 +55,6 @@ enum State {
     Connected,
 }
 
-/// An in-flight outbound publish, kept until its handshake completes so
-/// it can be retransmitted with DUP after a session resumption.
-#[derive(Debug, Clone)]
-struct OutboundPublish {
-    topic: String,
-    payload: Bytes,
-    qos: QoS,
-    retain: bool,
-    /// QoS 2 only: PUBREC came back and PUBREL went out, so PUBCOMP is
-    /// awaited. Otherwise the publish awaits PUBACK (QoS 1) or PUBREC (and
-    /// may need a DUP resend).
-    released: bool,
-}
-
 /// An MQTT client connection to one broker.
 pub struct MqttConn {
     broker: Addr,
@@ -79,7 +65,7 @@ pub struct MqttConn {
     next_pid: u16,
     /// QoS 1/2 publishes whose handshake is incomplete, in pid order so
     /// resumption retransmits deterministically.
-    outbound: PidMap<OutboundPublish>,
+    outbound: PidMap<InFlight>,
     /// Packet ids of inbound QoS-2 publishes received but not yet
     /// released (PUBREL pending) — the receiver-side dedup set.
     inbound_rec: BTreeSet<u16>,
@@ -196,18 +182,10 @@ impl MqttConn {
             QoS::AtLeastOnce | QoS::ExactlyOnce => Some(self.next_pid()),
         };
         let publish = PublishRef { dup: false, qos, retain, topic, packet_id, payload: &payload };
-        self.ep.send_with(sim, self.broker, publish.encoded_len(), |b| publish.encode_into(b));
+        let packet =
+            self.ep.send_with(sim, self.broker, publish.encoded_len(), |b| publish.encode_into(b));
         if let Some(pid) = packet_id {
-            self.outbound.insert(
-                pid,
-                OutboundPublish {
-                    topic: topic.to_string(),
-                    payload,
-                    qos,
-                    retain,
-                    released: false,
-                },
-            );
+            self.outbound.insert(pid, InFlight { packet, released: false });
         }
         packet_id
     }
@@ -264,21 +242,13 @@ impl MqttConn {
     /// half-released QoS 2 pids re-send their PUBREL. Pid order keeps the
     /// retransmit schedule deterministic.
     fn retransmit_inflight(&mut self, sim: &mut Sim) {
-        let resend: Vec<(u16, OutboundPublish)> =
+        let resend: Vec<(u16, InFlight)> =
             self.outbound.iter().map(|(pid, ob)| (pid, ob.clone())).collect();
         for (pid, ob) in resend {
             if ob.released {
                 self.send_packet(sim, &Packet::PubRel { packet_id: pid });
             } else {
-                let pkt = Packet::Publish {
-                    dup: true,
-                    qos: ob.qos,
-                    retain: ob.retain,
-                    topic: ob.topic,
-                    packet_id: Some(pid),
-                    payload: ob.payload,
-                };
-                self.send_packet(sim, &pkt);
+                self.ep.send_with(sim, self.broker, ob.packet.len(), |b| ob.put_dup(b));
             }
         }
     }

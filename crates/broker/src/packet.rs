@@ -169,6 +169,30 @@ impl PublishRef<'_> {
     }
 }
 
+/// An in-flight QoS 1/2 publish on either side of a session, kept until
+/// its handshake completes so a resumed session can be caught up with a
+/// DUP resend.
+#[derive(Debug, Clone)]
+pub(crate) struct InFlight {
+    /// The PUBLISH as sent, DUP clear: the window `send_with` returned
+    /// onto its transport frame, or, for a publish resumed from a
+    /// snapshot, its encoding.
+    pub(crate) packet: Bytes,
+    /// QoS 2 only: PUBREC came back and PUBREL went out, so PUBCOMP is
+    /// awaited. Otherwise the publish awaits PUBACK (QoS 1) or PUBREC.
+    pub(crate) released: bool,
+}
+
+impl InFlight {
+    /// Append the packet with its DUP flag set: the bytes
+    /// [`Packet::encode`] gives the same [`Packet::Publish`] with
+    /// `dup: true`, copied instead of encoded again.
+    pub(crate) fn put_dup(&self, out: &mut BytesMut) {
+        out.put_u8(self.packet[0] | FLAG_DUP);
+        out.put_slice(&self.packet[1..]);
+    }
+}
+
 /// Codec errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PacketError {
@@ -231,6 +255,9 @@ const TYPE_UNSUBACK: u8 = 11;
 const TYPE_PINGREQ: u8 = 12;
 const TYPE_PINGRESP: u8 = 13;
 const TYPE_DISCONNECT: u8 = 14;
+
+/// PUBLISH fixed-header flag: a redelivery (bit 3 of the first byte).
+const FLAG_DUP: u8 = 0b1000;
 
 const CONNECT_FLAG_CLEAN: u8 = 0x02;
 const CONNECT_FLAG_WILL: u8 = 0x04;
@@ -432,7 +459,7 @@ impl Packet {
                 Packet::ConnAck { session_present: sp != 0, code }
             }
             TYPE_PUBLISH => {
-                let dup = flags & 0b1000 != 0;
+                let dup = flags & FLAG_DUP != 0;
                 let retain = flags & 0b0001 != 0;
                 let qos = QoS::from_bits((flags >> 1) & 0b11)
                     .ok_or(PacketError::BadQoS((flags >> 1) & 0b11))?;
@@ -526,7 +553,7 @@ fn expect_flags(packet_type: u8, flags: u8, expected: u8) -> Result<(), PacketEr
 fn publish_flags(dup: bool, qos: QoS, retain: bool) -> u8 {
     let mut f = (qos as u8) << 1;
     if dup {
-        f |= 0b1000;
+        f |= FLAG_DUP;
     }
     if retain {
         f |= 0b0001;

@@ -1,0 +1,193 @@
+//! Allocation budget of the messaging path, counted end to end.
+//!
+//! A counting global allocator tallies the heap blocks each thread asks
+//! for (`alloc`, `alloc_zeroed` and `realloc`); the tally is thread-local,
+//! so tests running in parallel do not mix. The rig is a broker and two
+//! MQTT connections on a two-node cluster: a subscriber on the broker's
+//! node, a publisher on the other. After 200 warm-up publishes, 2,000
+//! publishes each run to completion (the publish, the delivery and every
+//! acknowledgement on both legs), and the budget is the mean per message.
+//!
+//! Transport ACKs (17 bytes) and the PUBACK/PUBREC/PUBREL/PUBCOMP DATA
+//! frames (21 bytes) live inline in their `Bytes`, and an in-flight QoS
+//! 1/2 publish is kept as the frame it was sent in. What still allocates
+//! per message:
+//! - the PUBLISH DATA frame on each leg: its `Vec` and the `Arc` that
+//!   shares it between the datagram and the retransmit queue;
+//! - the topic `String` each receiver decodes;
+//! - timer-wheel slot buffers, which a drained slot frees and its next
+//!   fill allocates again.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
+use bytes::{Buf, BufMut, Bytes, BytesMut};
+use digibox_broker::{Broker, ClientEvent, MqttConn, QoS};
+use digibox_net::{Addr, Datagram, Service, Sim, SimConfig, TimerToken, Topology};
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `System`, counting each block handed out on the calling thread.
+struct Counting;
+
+fn count() {
+    // `try_with`: a thread being torn down may still free and allocate.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches only a
+// const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller guarantees `layout` has a non-zero size.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: the caller guarantees `ptr` came from this allocator
+        // (hence from `System`) with `layout`, and that `new_size` is valid.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller guarantees `ptr` came from this allocator
+        // (hence from `System`) with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Blocks this thread has allocated so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// A service around an `MqttConn` that counts what reaches it.
+struct Client {
+    conn: MqttConn,
+    messages: u64,
+    completed: u64,
+}
+
+impl Client {
+    fn drain(&mut self) {
+        while let Some(ev) = self.conn.poll() {
+            match ev {
+                ClientEvent::Message { .. } => self.messages += 1,
+                ClientEvent::PubAck { .. } | ClientEvent::PubComp { .. } => self.completed += 1,
+                _ => {}
+            }
+        }
+    }
+}
+
+impl Service for Client {
+    fn on_datagram(&mut self, sim: &mut Sim, dg: Datagram) {
+        self.conn.on_datagram(sim, dg);
+        self.drain();
+    }
+    fn on_timer(&mut self, sim: &mut Sim, token: TimerToken) {
+        self.conn.on_timer(sim, token);
+        self.drain();
+    }
+}
+
+fn client(sim: &mut Sim, addr: Addr, broker: Addr, id: &str) -> Rc<RefCell<Client>> {
+    let c = Rc::new(RefCell::new(Client {
+        conn: MqttConn::new(addr, broker, id),
+        messages: 0,
+        completed: 0,
+    }));
+    sim.bind(addr, c.clone());
+    c.borrow_mut().conn.connect(sim, None);
+    sim.run_to_completion();
+    assert!(c.borrow().conn.is_connected(), "{id} connects");
+    c
+}
+
+/// Mean blocks allocated per message over 2,000 publishes at `qos`.
+fn allocs_per_message(qos: QoS) -> f64 {
+    let topo = Topology::ec2_cluster(2);
+    let nodes = topo.node_ids();
+    let mut sim = Sim::new(topo, SimConfig::default());
+    let broker_addr = Addr::new(nodes[0], 1883);
+    sim.bind(broker_addr, Broker::new(broker_addr));
+    let sub = client(&mut sim, Addr::new(nodes[0], 10_000), broker_addr, "sub");
+    let publisher = client(&mut sim, Addr::new(nodes[1], 10_000), broker_addr, "pub");
+    sub.borrow_mut().conn.subscribe(&mut sim, &[("site/+/temp", qos)]);
+    sim.run_to_completion();
+
+    // One reading, made once: the budget is the messaging path's, not
+    // the cost of formatting a payload.
+    let body = Bytes::from(r#"{"sensor":"s1","temp":21.5}"#.to_string());
+    let publish = |sim: &mut Sim, n: u32| {
+        for _ in 0..n {
+            publisher.borrow_mut().conn.publish(sim, "site/s1/temp", body.clone(), qos, false);
+            sim.run_to_completion();
+        }
+    };
+    publish(&mut sim, 200);
+    let before = allocs();
+    publish(&mut sim, 2_000);
+    let per_message = (allocs() - before) as f64 / 2_000.0;
+
+    assert_eq!(sub.borrow().messages, 2_200, "every publish delivered once");
+    assert_eq!(publisher.borrow().completed, 2_200, "every handshake completed");
+    assert_eq!(publisher.borrow().conn.unacked_publishes(), 0);
+    per_message
+}
+
+#[test]
+fn qos1_message_stays_within_its_allocation_budget() {
+    let n = allocs_per_message(QoS::AtLeastOnce);
+    eprintln!("QoS 1: {n:.2} allocations per message");
+    assert!(n <= 16.0, "QoS 1 message costs {n:.2} allocations (budget 16)");
+}
+
+#[test]
+fn qos2_message_stays_within_its_allocation_budget() {
+    let n = allocs_per_message(QoS::ExactlyOnce);
+    eprintln!("QoS 2: {n:.2} allocations per message");
+    assert!(n <= 24.0, "QoS 2 message costs {n:.2} allocations (budget 24)");
+}
+
+#[test]
+fn a_21_byte_buffer_allocates_nothing() {
+    let frame = [0x5Au8; 21];
+    let before = allocs();
+    let mut m = BytesMut::with_capacity(21);
+    m.put_u8(0x01);
+    m.put_u64(7);
+    m.put_u64(9);
+    m.extend_from_slice(&frame[..4]);
+    let frozen = m.freeze();
+    let copy = frozen.clone();
+    let mut window = copy.slice(17..);
+    window.advance(2);
+    let from_slice = Bytes::copy_from_slice(&frame);
+    let taken = from_slice.clone().copy_to_bytes(21);
+    let after = allocs();
+    assert_eq!(after - before, 0, "a 21-byte buffer allocated");
+    assert_eq!(frozen.len(), 21);
+    assert_eq!(&window[..], &frame[2..4]);
+    assert_eq!(taken, from_slice);
+    // One byte more moves to the heap: the budget above is the inline
+    // bound, not a counter that never moves.
+    let mut m = BytesMut::new();
+    m.extend_from_slice(&[0; 22]);
+    assert!(allocs() > after, "a 22-byte buffer lives on the heap");
+}

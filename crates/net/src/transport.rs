@@ -225,14 +225,21 @@ impl ReliableEndpoint {
     /// Send a message of `len` bytes reliably to `peer`, letting `write`
     /// append it straight after the DATA header. The frame is built in one
     /// buffer of exactly `FRAME_HEADER + len` bytes, which both the
-    /// datagram and the retransmit queue share.
+    /// datagram and the retransmit queue share; a frame of at most 21
+    /// bytes (any 4-byte MQTT acknowledgement) is held inline and
+    /// allocates nothing.
+    ///
+    /// Returns the message as framed: a window onto the frame after its
+    /// header, sharing the frame's storage with the retransmit queue, so
+    /// a caller that must keep the message (an in-flight QoS 1/2 publish)
+    /// keeps it without a copy.
     pub fn send_with(
         &mut self,
         sim: &mut Sim,
         peer: Addr,
         len: usize,
         write: impl FnOnce(&mut BytesMut),
-    ) {
+    ) -> Bytes {
         let conn = self.conns.entry(peer).or_default();
         if conn.send_inc == 0 {
             // First send on this connection record: stamp its incarnation
@@ -247,9 +254,11 @@ impl ReliableEndpoint {
         write(&mut b);
         debug_assert_eq!(b.len(), FRAME_HEADER + len, "send_with wrote other than `len` bytes");
         let frame = b.freeze();
+        let message = frame.slice(FRAME_HEADER..);
         conn.unacked.push_back((frame.clone(), 0));
         sim.send(self.local, peer, frame);
         self.arm_timer(sim, peer, seq, 0);
+        message
     }
 
     fn arm_timer(&mut self, sim: &mut Sim, peer: Addr, seq: u64, retries: u32) {
@@ -505,10 +514,12 @@ mod tests {
     fn message_carriers_keep_their_size() {
         // Every datagram, timer-wheel entry, retransmit entry and event
         // carries a `Bytes`: a field that regrows one regrows them all.
+        // `TransportEvent` needs no tag of its own: `PeerFailed` fits in
+        // a value the tag of `Bytes`'s two variants leaves unused.
         use std::mem::size_of;
         assert_eq!(size_of::<Bytes>(), 24);
         assert_eq!(size_of::<Datagram>(), 40);
-        assert_eq!(size_of::<TransportEvent>(), 40);
+        assert_eq!(size_of::<TransportEvent>(), 32);
         assert_eq!(size_of::<ConnState>(), 88);
         assert_eq!(size_of::<(Bytes, u32)>(), 32, "an `unacked` entry");
         assert_eq!(size_of::<FxBuildHasher>(), 0, "a seedless map stores no hasher state");

@@ -46,7 +46,7 @@
 #![warn(missing_docs)]
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap; // keyed lookup only; snapshots sort by name (`dbox audit` DH0002 convention)
+use std::collections::{BTreeMap, HashMap}; // hash maps for keyed lookup only; snapshots sort by name (`dbox audit` DH0002 convention)
 
 /// Number of power-of-two histogram buckets (values up to 2^31 land in
 /// their log2 bucket; larger ones saturate into the last).
@@ -109,12 +109,14 @@ impl HistogramCell {
 }
 
 /// One node of the span tree: a frame plus its children, each child keyed
-/// by frame id. Children are kept sorted by frame id so lookups are a
-/// binary search and traversal order is reproducible.
+/// by frame id. The map keeps traversal in frame-id order, so it is
+/// reproducible, and adds a child in O(log n) whatever order frame ids
+/// first appear in: one node can hold a million per-digi children, and
+/// they arrive out of id order.
 struct SpanNode {
     frame: u32,
     count: u64,
-    children: Vec<(u32, u32)>, // (frame id, node index), sorted by frame id
+    children: BTreeMap<u32, u32>, // frame id → node index
 }
 
 struct Collector {
@@ -143,7 +145,7 @@ impl Collector {
             histograms: Interner::default(),
             histogram_values: Vec::new(),
             frames: Interner::default(),
-            nodes: vec![SpanNode { frame: u32::MAX, count: 0, children: Vec::new() }],
+            nodes: vec![SpanNode { frame: u32::MAX, count: 0, children: BTreeMap::new() }],
             stack: Vec::new(),
             clock_ns: 0,
         }
@@ -165,18 +167,11 @@ impl Collector {
 
     fn enter(&mut self, frame: FrameId) -> u32 {
         let parent = self.stack.last().copied().unwrap_or(0);
-        let child = match self.nodes[parent as usize]
-            .children
-            .binary_search_by_key(&frame.0, |&(f, _)| f)
-        {
-            Ok(i) => self.nodes[parent as usize].children[i].1,
-            Err(i) => {
-                let idx = self.nodes.len() as u32;
-                self.nodes.push(SpanNode { frame: frame.0, count: 0, children: Vec::new() });
-                self.nodes[parent as usize].children.insert(i, (frame.0, idx));
-                idx
-            }
-        };
+        let next = self.nodes.len() as u32;
+        let child = *self.nodes[parent as usize].children.entry(frame.0).or_insert(next);
+        if child == next {
+            self.nodes.push(SpanNode { frame: frame.0, count: 0, children: BTreeMap::new() });
+        }
         self.nodes[child as usize].count += 1;
         self.stack.push(child);
         child
@@ -196,7 +191,7 @@ impl Collector {
         if node != 0 {
             out.push((path.clone(), n.count));
         }
-        for &(_, child) in &n.children {
+        for &child in n.children.values() {
             self.folded_into(child, &path, out);
         }
     }
@@ -564,7 +559,6 @@ impl Snapshot {
     /// testbed gauges (digi counts, pending restarts) are all additive
     /// partitions of a whole.
     pub fn merged(parts: &[Snapshot]) -> Snapshot {
-        use std::collections::BTreeMap;
         let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
         let mut gauges: BTreeMap<&str, i64> = BTreeMap::new();
         let mut histograms: BTreeMap<&str, HistogramSnapshot> = BTreeMap::new();

@@ -4,44 +4,57 @@
 //! (`crates/bytes`); `perfbench/build.py` compiles the same file with bare
 //! `rustc`.
 //!
-//! A `Bytes` is a window onto shared, immutable storage, so handing one
-//! message buffer from layer to layer copies no data:
+//! A `Bytes` is 24 bytes and holds its contents one of two ways:
 //!
-//! - `BytesMut::freeze` moves its `Vec` into the shared storage as is;
-//! - `Bytes::slice`, `clone` and `Buf::copy_to_bytes` on a `Bytes` return
-//!   windows onto the same storage;
-//! - empty and `from_static` buffers borrow static memory and allocate
-//!   nothing.
+//! - **Inline**, up to 21 bytes inside the value itself: what fits beside
+//!   the variant tag and two one-byte window offsets. 21 bytes is exactly
+//!   the largest control frame (a 17-byte transport DATA header plus a
+//!   4-byte PUBACK/PUBREC/PUBREL/PUBCOMP); a transport ACK is 17 bytes and
+//!   a PINGREQ/PINGRESP frame 19, so control traffic allocates nothing.
+//!   `clone`, `slice` and `advance` on an inline value copy at most 24
+//!   bytes and touch no atomic.
+//! - **Shared**, a window onto immutable storage behind an `Arc`, so
+//!   handing one message buffer from layer to layer copies no data:
+//!   `BytesMut::freeze` moves its `Vec` into the storage as is, and
+//!   `Bytes::slice`, `clone` and `Buf::copy_to_bytes` on a `Bytes` return
+//!   windows onto the same storage.
 //!
-//! Only `Bytes::copy_from_slice`, `copy_to_bytes` on a non-`Bytes` buffer
-//! and `to_vec` copy. The storage is an `Arc`, so a `Bytes` is `Send`:
-//! islands hand datagrams across worker threads.
+//! `freeze`, `copy_from_slice`, `From<Vec<u8>>` and `From<String>` make an
+//! inline `Bytes` whenever the contents are at most 21 bytes; every empty
+//! buffer is inline, and `from_static` copies. A `BytesMut` starts inline
+//! (`new`, or `with_capacity` of at most 21) and moves to a `Vec` only
+//! when its contents pass 21 bytes.
 //!
-//! A `Bytes` is 24 bytes: the window offsets are `u32`, so one buffer
-//! holds at most `u32::MAX` bytes (4 GiB) and a larger one panics when it
-//! is made. Every datagram, timer-wheel entry, retransmit entry and event
-//! carries a `Bytes`, and no message comes near the cap.
+//! Beyond the inline copies, only `copy_from_slice`, `copy_to_bytes` on a
+//! non-`Bytes` buffer and `to_vec` copy. The storage is an `Arc`, so a
+//! `Bytes` is `Send`: islands hand datagrams across worker threads.
+//!
+//! Shared windows have `u32` offsets, so one buffer holds at most
+//! `u32::MAX` bytes (4 GiB) and a larger one panics when it is made.
+//! Every datagram, timer-wheel entry, retransmit entry and event carries
+//! a `Bytes`, and no message comes near the cap.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-/// Where a [`Bytes`] window's bytes live.
+/// Longest buffer kept inside a [`Bytes`] or [`BytesMut`] value.
+const INLINE_CAP: usize = 21;
+
+/// How a [`Bytes`] holds its window `[start, end)`.
 #[derive(Clone)]
-enum Storage {
-    /// Static memory: `from_static` and every empty buffer.
-    Static(&'static [u8]),
+enum Repr {
+    /// At most [`INLINE_CAP`] bytes held in the value.
+    Inline { start: u8, end: u8, data: [u8; INLINE_CAP] },
     /// A `Vec` handed over by `freeze` or `From`, shared by every window
     /// cut from it.
-    Shared(Arc<Vec<u8>>),
+    Shared { buf: Arc<Vec<u8>>, start: u32, end: u32 },
 }
 
-/// An immutable window `[start, end)` onto shared storage; cloning and
-/// slicing share the storage instead of copying it.
+/// An immutable byte window: up to 21 bytes inline, longer ones onto
+/// shared storage that cloning and slicing share instead of copying.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Storage,
-    start: u32,
-    end: u32,
+    repr: Repr,
 }
 
 /// The `u32` end offset of a whole buffer of `len` bytes.
@@ -52,34 +65,55 @@ fn buffer_end(len: usize) -> u32 {
 
 impl Bytes {
     pub fn new() -> Bytes {
-        Bytes::from_static(&[])
+        Bytes::inline(&[])
     }
 
+    /// A copy of `b`: inline up to 21 bytes, shared storage past that.
     pub fn from_static(b: &'static [u8]) -> Bytes {
-        Bytes { data: Storage::Static(b), start: 0, end: buffer_end(b.len()) }
+        Bytes::copy_from_slice(b)
     }
 
     pub fn copy_from_slice(b: &[u8]) -> Bytes {
-        Bytes::from_vec(b.to_vec())
+        if b.len() <= INLINE_CAP {
+            Bytes::inline(b)
+        } else {
+            Bytes::shared(b.to_vec())
+        }
+    }
+
+    /// `b`, at most [`INLINE_CAP`] bytes, held inline.
+    fn inline(b: &[u8]) -> Bytes {
+        let mut data = [0; INLINE_CAP];
+        data[..b.len()].copy_from_slice(b);
+        Bytes { repr: Repr::Inline { start: 0, end: b.len() as u8, data } }
     }
 
     fn from_vec(v: Vec<u8>) -> Bytes {
-        if v.is_empty() {
-            return Bytes::new();
+        if v.len() <= INLINE_CAP {
+            Bytes::inline(&v)
+        } else {
+            Bytes::shared(v)
         }
+    }
+
+    fn shared(v: Vec<u8>) -> Bytes {
         let end = buffer_end(v.len());
-        Bytes { data: Storage::Shared(Arc::new(v)), start: 0, end }
+        Bytes { repr: Repr::Shared { buf: Arc::new(v), start: 0, end } }
     }
 
     pub fn len(&self) -> usize {
-        (self.end - self.start) as usize
+        match self.repr {
+            Repr::Inline { start, end, .. } => usize::from(end - start),
+            Repr::Shared { start, end, .. } => (end - start) as usize,
+        }
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// A window onto `range` of this buffer, sharing its storage.
+    /// A window onto `range` of this buffer: a copy of an inline value, a
+    /// window sharing the storage of a shared one.
     pub fn slice(&self, range: impl std::ops::RangeBounds<usize>) -> Bytes {
         use std::ops::Bound;
         let lo = match range.start_bound() {
@@ -93,12 +127,18 @@ impl Bytes {
             Bound::Unbounded => self.len(),
         };
         assert!(lo <= hi && hi <= self.len());
-        // Both bounds are within the window, so they fit its u32 offsets.
-        Bytes {
-            data: self.data.clone(),
-            start: self.start + lo as u32,
-            end: self.start + hi as u32,
-        }
+        // Both bounds are within the window, so they fit its offsets.
+        let repr = match &self.repr {
+            Repr::Inline { start, data, .. } => {
+                Repr::Inline { start: start + lo as u8, end: start + hi as u8, data: *data }
+            }
+            Repr::Shared { buf, start, .. } => Repr::Shared {
+                buf: Arc::clone(buf),
+                start: start + lo as u32,
+                end: start + hi as u32,
+            },
+        };
+        Bytes { repr }
     }
 }
 
@@ -111,11 +151,10 @@ impl Default for Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        let all: &[u8] = match &self.data {
-            Storage::Static(b) => b,
-            Storage::Shared(v) => v,
-        };
-        &all[self.start as usize..self.end as usize]
+        match &self.repr {
+            Repr::Inline { start, end, data } => &data[usize::from(*start)..usize::from(*end)],
+            Repr::Shared { buf, start, end } => &buf[*start as usize..*end as usize],
+        }
     }
 }
 
@@ -125,15 +164,20 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
+/// `b"..."` with ASCII escapes, for both buffer types.
+fn fmt_escaped(bytes: &[u8], f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+    write!(f, "b\"")?;
+    for &b in bytes {
+        for c in std::ascii::escape_default(b) {
+            write!(f, "{}", c as char)?;
+        }
+    }
+    write!(f, "\"")
+}
+
 impl std::fmt::Debug for Bytes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "b\"")?;
-        for &b in self.iter() {
-            for c in std::ascii::escape_default(b) {
-                write!(f, "{}", c as char)?;
-            }
-        }
-        write!(f, "\"")
+        fmt_escaped(self, f)
     }
 }
 
@@ -211,68 +255,157 @@ impl IntoIterator for Bytes {
     }
 }
 
-#[derive(Default, Clone, Debug, PartialEq, Eq)]
+/// How a [`BytesMut`] holds its contents.
+#[derive(Clone)]
+enum MutRepr {
+    /// The first `len` bytes of `data`.
+    Inline { len: u8, data: [u8; INLINE_CAP] },
+    /// Contents past [`INLINE_CAP`] bytes, or a capacity asked for past it.
+    Heap(Vec<u8>),
+}
+
+/// A growable buffer: inline while it holds at most 21 bytes, a `Vec`
+/// that [`BytesMut::freeze`] hands over as shared storage past that.
+#[derive(Clone)]
 pub struct BytesMut {
-    buf: Vec<u8>,
+    repr: MutRepr,
 }
 
 impl BytesMut {
     pub fn new() -> BytesMut {
-        BytesMut { buf: Vec::new() }
+        BytesMut { repr: MutRepr::Inline { len: 0, data: [0; INLINE_CAP] } }
     }
 
+    /// Room for `n` bytes: inline up to 21, a `Vec` of that capacity past.
     pub fn with_capacity(n: usize) -> BytesMut {
-        BytesMut { buf: Vec::with_capacity(n) }
+        if n <= INLINE_CAP {
+            BytesMut::new()
+        } else {
+            BytesMut { repr: MutRepr::Heap(Vec::with_capacity(n)) }
+        }
     }
 
     pub fn len(&self) -> usize {
-        self.buf.len()
+        match &self.repr {
+            MutRepr::Inline { len, .. } => usize::from(*len),
+            MutRepr::Heap(v) => v.len(),
+        }
     }
 
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     pub fn freeze(self) -> Bytes {
-        Bytes::from(self.buf)
+        match self.repr {
+            MutRepr::Inline { len, data } => {
+                Bytes { repr: Repr::Inline { start: 0, end: len, data } }
+            }
+            MutRepr::Heap(v) => Bytes::from_vec(v),
+        }
     }
 
     pub fn extend_from_slice(&mut self, s: &[u8]) {
-        self.buf.extend_from_slice(s);
+        let len = self.len();
+        match &mut self.repr {
+            MutRepr::Inline { len: n, data } if len + s.len() <= INLINE_CAP => {
+                data[len..len + s.len()].copy_from_slice(s);
+                *n += s.len() as u8;
+            }
+            MutRepr::Inline { .. } => {
+                // Spill with room to double, as a `Vec` would grow.
+                self.spill((len + s.len()).max(2 * INLINE_CAP)).extend_from_slice(s);
+            }
+            MutRepr::Heap(v) => v.extend_from_slice(s),
+        }
+    }
+
+    /// Move inline contents to a `Vec` of capacity `cap` (at least the
+    /// length) and return it.
+    fn spill(&mut self, cap: usize) -> &mut Vec<u8> {
+        if let MutRepr::Inline { len, data } = &self.repr {
+            let mut v = Vec::with_capacity(cap);
+            v.extend_from_slice(&data[..usize::from(*len)]);
+            self.repr = MutRepr::Heap(v);
+        }
+        match &mut self.repr {
+            MutRepr::Heap(v) => v,
+            MutRepr::Inline { .. } => unreachable!("spilled above"),
+        }
     }
 
     pub fn clear(&mut self) {
-        self.buf.clear();
+        match &mut self.repr {
+            MutRepr::Inline { len, .. } => *len = 0,
+            MutRepr::Heap(v) => v.clear(),
+        }
     }
 
+    /// Split off the first `at` bytes: they are returned and `self` keeps
+    /// the rest.
     pub fn split_to(&mut self, at: usize) -> BytesMut {
-        let rest = self.buf.split_off(at);
-        BytesMut { buf: std::mem::replace(&mut self.buf, rest) }
+        assert!(at <= self.len(), "split_to({at}) past the end ({})", self.len());
+        let mut head = BytesMut::with_capacity(at);
+        head.extend_from_slice(&self[..at]);
+        self.advance(at);
+        head
     }
 
     pub fn reserve(&mut self, n: usize) {
-        self.buf.reserve(n);
+        let len = self.len();
+        match &mut self.repr {
+            MutRepr::Inline { .. } if len + n <= INLINE_CAP => {}
+            MutRepr::Inline { .. } => {
+                self.spill(len + n);
+            }
+            MutRepr::Heap(v) => v.reserve(n),
+        }
+    }
+}
+
+impl Default for BytesMut {
+    fn default() -> BytesMut {
+        BytesMut::new()
     }
 }
 
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.buf
+        match &self.repr {
+            MutRepr::Inline { len, data } => &data[..usize::from(*len)],
+            MutRepr::Heap(v) => v,
+        }
     }
 }
 
 impl DerefMut for BytesMut {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
+        match &mut self.repr {
+            MutRepr::Inline { len, data } => &mut data[..usize::from(*len)],
+            MutRepr::Heap(v) => v,
+        }
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
-        &self.buf
+        self
     }
 }
+
+impl std::fmt::Debug for BytesMut {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        fmt_escaped(self, f)
+    }
+}
+
+impl PartialEq for BytesMut {
+    fn eq(&self, other: &BytesMut) -> bool {
+        self[..] == other[..]
+    }
+}
+impl Eq for BytesMut {}
 
 pub trait Buf {
     fn remaining(&self) -> usize;
@@ -311,9 +444,9 @@ pub trait Buf {
     }
 
     fn copy_to_bytes(&mut self, n: usize) -> Bytes {
-        let v = self.chunk()[..n].to_vec();
+        let out = Bytes::copy_from_slice(&self.chunk()[..n]);
         self.advance(n);
-        Bytes::from(v)
+        out
     }
 }
 
@@ -326,7 +459,10 @@ impl Buf for Bytes {
     }
     fn advance(&mut self, n: usize) {
         assert!(n <= self.len());
-        self.start += n as u32;
+        match &mut self.repr {
+            Repr::Inline { start, .. } => *start += n as u8,
+            Repr::Shared { start, .. } => *start += n as u32,
+        }
     }
     /// The next `n` bytes as a window onto the same storage.
     fn copy_to_bytes(&mut self, n: usize) -> Bytes {
@@ -338,13 +474,22 @@ impl Buf for Bytes {
 
 impl Buf for BytesMut {
     fn remaining(&self) -> usize {
-        self.buf.len()
+        self.len()
     }
     fn chunk(&self) -> &[u8] {
-        &self.buf
+        self
     }
     fn advance(&mut self, n: usize) {
-        self.buf.drain(..n);
+        match &mut self.repr {
+            MutRepr::Inline { len, data } => {
+                assert!(n <= usize::from(*len));
+                data.copy_within(n..usize::from(*len), 0);
+                *len -= n as u8;
+            }
+            MutRepr::Heap(v) => {
+                v.drain(..n);
+            }
+        }
     }
 }
 
@@ -379,7 +524,7 @@ pub trait BufMut {
 
 impl BufMut for BytesMut {
     fn put_slice(&mut self, s: &[u8]) {
-        self.buf.extend_from_slice(s);
+        self.extend_from_slice(s);
     }
 }
 
@@ -393,28 +538,40 @@ impl BufMut for Vec<u8> {
 mod tests {
     use super::*;
 
+    /// A `Bytes` over `len` bytes `0, 1, 2, ...` in shared storage.
+    fn heap(len: usize) -> Bytes {
+        assert!(len > INLINE_CAP);
+        Bytes::from((0..len as u8).collect::<Vec<u8>>())
+    }
+
+    fn is_inline(b: &Bytes) -> bool {
+        matches!(b.repr, Repr::Inline { .. })
+    }
+
     #[test]
     fn freeze_slice_and_copy_to_bytes_share_storage() {
-        let mut m = BytesMut::with_capacity(8);
-        m.extend_from_slice(b"abcdefgh");
+        let mut m = BytesMut::with_capacity(32);
+        let src: Vec<u8> = (0..32).collect();
+        m.extend_from_slice(&src);
         let base = m.as_ptr();
         let frozen = m.freeze();
+        assert!(!is_inline(&frozen));
         assert_eq!(frozen.as_ptr(), base, "freeze hands the buffer over");
         let s = frozen.slice(2..5);
-        assert_eq!(&s[..], b"cde");
+        assert_eq!(&s[..], [2, 3, 4]);
         assert_eq!(s.as_ptr(), base.wrapping_add(2));
         let mut cur = frozen.clone();
         cur.advance(1);
         let taken = cur.copy_to_bytes(3);
-        assert_eq!(&taken[..], b"bcd");
+        assert_eq!(&taken[..], [1, 2, 3]);
         assert_eq!(taken.as_ptr(), base.wrapping_add(1), "copy_to_bytes on Bytes is a slice");
-        assert_eq!(&cur[..], b"efgh");
+        assert_eq!(&cur[..], &src[4..]);
         assert_eq!(cur.as_ptr(), base.wrapping_add(4));
     }
 
     #[test]
     fn windows_ending_at_the_buffer_end_share_storage() {
-        let frozen = Bytes::from(b"abcdefgh".to_vec());
+        let frozen = heap(32);
         let (base, len) = (frozen.as_ptr(), frozen.len());
         let tail = frozen.slice(len..);
         assert!(tail.is_empty());
@@ -427,7 +584,28 @@ mod tests {
         cur.advance(len - 3);
         assert!(cur.is_empty());
         assert_eq!(cur.as_ptr(), base.wrapping_add(len), "advance(len) keeps the window");
-        assert_eq!(&frozen.slice(len - 1..)[..], b"h");
+        assert_eq!(&frozen.slice(len - 1..)[..], [31]);
+    }
+
+    #[test]
+    fn buffers_up_to_21_bytes_are_inline_and_longer_ones_shared() {
+        for len in 0..=64usize {
+            let v: Vec<u8> = (0..len as u8).collect();
+            let mut m = BytesMut::with_capacity(len);
+            m.extend_from_slice(&v);
+            let made = [
+                Bytes::copy_from_slice(&v),
+                Bytes::from(v.clone()),
+                Bytes::from(String::from_utf8(v.clone()).unwrap()),
+                m.freeze(),
+            ];
+            for b in &made {
+                assert_eq!(is_inline(b), len <= INLINE_CAP, "{len} bytes");
+                assert_eq!(&b[..], &v[..]);
+            }
+        }
+        // A window cut from shared storage stays a window, however short.
+        assert!(!is_inline(&heap(22).slice(1..3)));
     }
 
     #[test]
@@ -459,6 +637,7 @@ mod tests {
             BytesMut::new().freeze(),
             Bytes::from_static(b"xyz").slice(1..1),
             Bytes::copy_from_slice(b"xyz").slice(3..),
+            heap(30).slice(30..),
         ];
         for b in &empties {
             assert!(b.is_empty());
@@ -471,5 +650,164 @@ mod tests {
     fn bytes_is_send() {
         fn send<T: Send>(_: T) {}
         send(Bytes::copy_from_slice(b"datagram"));
+        send(heap(40));
+    }
+
+    /// splitmix64: the seeded source of the differential test below.
+    struct Rng(u64);
+
+    /// Run `property` on seeds `0..cases`, naming the failing seed in the
+    /// panic, as `net::for_each_seed` does (this crate sits below `net`).
+    fn for_each_seed(cases: u64, property: impl Fn(&mut Rng)) {
+        for seed in 0..cases {
+            let run =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| property(&mut Rng(seed))));
+            if let Err(cause) = run {
+                let msg = cause
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| cause.downcast_ref::<&str>().copied())
+                    .unwrap_or("non-string panic payload");
+                panic!("seed {seed}: {msg}");
+            }
+        }
+    }
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..=hi`.
+        fn upto(&mut self, hi: usize) -> usize {
+            (self.next() % (hi as u64 + 1)) as usize
+        }
+    }
+
+    /// `b` agrees with the model `want` on every read-only operation.
+    fn check(b: &Bytes, want: &[u8], other: &Bytes, other_want: &[u8]) {
+        assert_eq!(&b[..], want);
+        assert_eq!(b.len(), want.len());
+        assert_eq!(b.is_empty(), want.is_empty());
+        assert_eq!(b.remaining(), want.len());
+        assert_eq!(b.to_vec(), want);
+        assert_eq!(b.clone().into_iter().collect::<Vec<u8>>(), want);
+        assert_eq!(format!("{b:?}"), format!("b\"{}\"", want.escape_ascii()));
+        assert_eq!(*b == *other, want == other_want);
+        assert_eq!(b.cmp(other), want.cmp(other_want));
+        assert_eq!(b.partial_cmp(other), want.partial_cmp(other_want));
+        // One `RandomState` per call: equal contents must hash equally.
+        use std::hash::{BuildHasher, Hash, Hasher};
+        let state = std::collections::hash_map::RandomState::new();
+        let (mut hb, mut hw) = (state.build_hasher(), state.build_hasher());
+        b.hash(&mut hb);
+        want.hash(&mut hw);
+        assert_eq!(hb.finish(), hw.finish());
+    }
+
+    #[test]
+    fn bytes_and_bytes_mut_match_a_vec_model_across_the_inline_boundary() {
+        for_each_seed(300, |rng| {
+            // Grow a buffer from random pieces until it reaches a target
+            // of 0–64 bytes.
+            let mut m = if rng.next().is_multiple_of(2) {
+                BytesMut::new()
+            } else {
+                BytesMut::with_capacity(rng.upto(64))
+            };
+            let mut model: Vec<u8> = Vec::new();
+            let target = rng.upto(64);
+            while model.len() < target {
+                let before = model.len();
+                match rng.upto(5) {
+                    0 => {
+                        let v = rng.next() as u8;
+                        m.put_u8(v);
+                        model.push(v);
+                    }
+                    1 => {
+                        let v = rng.next() as u16;
+                        m.put_u16(v);
+                        model.extend_from_slice(&v.to_be_bytes());
+                    }
+                    2 => {
+                        let v = rng.next() as u32;
+                        m.put_u32(v);
+                        model.extend_from_slice(&v.to_be_bytes());
+                    }
+                    3 => {
+                        let v = rng.next();
+                        m.put_u64(v);
+                        model.extend_from_slice(&v.to_be_bytes());
+                    }
+                    4 => {
+                        let piece: Vec<u8> = (0..rng.upto(30)).map(|_| rng.next() as u8).collect();
+                        m.reserve(rng.upto(piece.len()));
+                        m.extend_from_slice(&piece);
+                        model.extend_from_slice(&piece);
+                    }
+                    _ => {
+                        // Consume from the front as a reader would.
+                        let n = rng.upto(model.len());
+                        if rng.next().is_multiple_of(2) {
+                            let head = m.split_to(n);
+                            assert_eq!(&head[..], &model[..n], "split_to");
+                        } else {
+                            let taken = m.copy_to_bytes(n);
+                            assert_eq!(&taken[..], &model[..n], "copy_to_bytes");
+                        }
+                        model.drain(..n);
+                    }
+                }
+                assert_eq!(&m[..], &model[..], "after growing from {before}");
+                assert_eq!(m.len(), model.len());
+                assert_eq!(m.remaining(), model.len());
+            }
+            assert_eq!(m, m.clone());
+            assert_eq!(format!("{m:?}"), format!("b\"{}\"", model.escape_ascii()));
+            if rng.next().is_multiple_of(8) {
+                m.clear();
+                model.clear();
+                assert!(m.is_empty(), "clear");
+            }
+
+            let b = m.freeze();
+            assert_eq!(is_inline(&b), model.len() <= INLINE_CAP, "freeze");
+            let other_model: Vec<u8> = model.iter().map(|&x| x ^ (rng.upto(1) as u8)).collect();
+            let other = Bytes::copy_from_slice(&other_model);
+            check(&b, &model, &other, &other_model);
+
+            // Windows: slice, advance, copy_to_bytes, clone, in any order.
+            let mut cur = b.clone();
+            let mut cur_model: &[u8] = &model;
+            for _ in 0..8 {
+                match rng.upto(3) {
+                    0 => {
+                        let lo = rng.upto(cur_model.len());
+                        let hi = lo + rng.upto(cur_model.len() - lo);
+                        cur = cur.slice(lo..hi);
+                        cur_model = &cur_model[lo..hi];
+                    }
+                    1 => {
+                        let n = rng.upto(cur_model.len());
+                        cur.advance(n);
+                        cur_model = &cur_model[n..];
+                    }
+                    2 => {
+                        let n = rng.upto(cur_model.len());
+                        let taken = cur.copy_to_bytes(n);
+                        check(&taken, &cur_model[..n], &b, &model);
+                        cur_model = &cur_model[n..];
+                    }
+                    _ => cur = cur.clone(),
+                }
+                check(&cur, cur_model, &b, &model);
+            }
+            check(&b, &model, &cur, cur_model);
+        });
     }
 }
