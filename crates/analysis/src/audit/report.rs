@@ -8,7 +8,8 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use digibox_model::json;
+use digibox_model::json::ToValue;
+use digibox_model::{vmap, Value};
 
 pub use crate::diag::Severity;
 
@@ -199,41 +200,34 @@ impl AuditReport {
         out.push('\n');
         out
     }
+}
 
-    /// Canonical machine rendering: hand-rolled like the lint report,
-    /// keys in a fixed order, findings pre-sorted by [`finish`],
-    /// one trailing newline — so CI can archive and `cmp` reports
-    /// byte-for-byte.
-    ///
-    /// [`finish`]: AuditReport::finish
-    pub fn to_json(&self) -> String {
-        let findings: Vec<String> = self
-            .findings
-            .iter()
-            .map(|d| {
-                format!(
-                    concat!(
-                        "{{\"code\": \"{}\", \"severity\": \"{}\", \"file\": {}, ",
-                        "\"line\": {}, \"col\": {}, \"message\": {}}}"
-                    ),
-                    d.code,
-                    d.severity.as_str(),
-                    json::quote(&d.file),
-                    d.line,
-                    d.col,
-                    json::quote(&d.message),
-                )
-            })
-            .collect();
-        format!(
-            "{{\"findings\": [{}], \"files\": {}, \"errors\": {}, \"warnings\": {}, \"suppressed\": {}, \"allowed\": {}}}\n",
-            findings.join(", "),
-            self.files,
-            self.errors(),
-            self.warnings(),
-            self.suppressed,
-            self.allowed
-        )
+impl ToValue for AuditFinding {
+    fn to_value(&self) -> Value {
+        vmap! {
+            "code" => self.code.as_str(),
+            "severity" => self.severity.as_str(),
+            "file" => self.file.to_value(),
+            "line" => self.line.to_value(),
+            "col" => self.col.to_value(),
+            "message" => self.message.to_value(),
+        }
+    }
+}
+
+/// The findings in [`AuditReport::finish`] order, then the file, error,
+/// warning, suppressed and allowed counts — byte-stable, so CI can
+/// archive and `cmp` reports.
+impl ToValue for AuditReport {
+    fn to_value(&self) -> Value {
+        vmap! {
+            "findings" => self.findings.to_value(),
+            "files" => self.files,
+            "errors" => self.errors(),
+            "warnings" => self.warnings(),
+            "suppressed" => self.suppressed,
+            "allowed" => self.allowed,
+        }
     }
 }
 
@@ -301,10 +295,17 @@ mod tests {
         let text = r.render_pretty();
         assert!(text.contains("DH0002 error crates/x/src/a.rs:3:9:"), "{text}");
         assert!(text.contains("2 file(s), 1 error(s), 1 warning(s)"), "{text}");
-        let a = r.to_json();
-        let b = r.clone().to_json();
-        assert_eq!(a, b);
-        assert!(a.contains("\"code\": \"DH0002\""), "{a}");
-        assert!(a.ends_with('\n'));
+        let a = digibox_model::json::encode(&r);
+        assert_eq!(
+            a,
+            "{\"allowed\":0,\"errors\":1,\"files\":2,\"findings\":[{\"code\":\"DH0002\",\
+             \"col\":9,\"file\":\"crates/x/src/a.rs\",\"line\":3,\
+             \"message\":\"iterates `m` (HashMap) in hash order\",\"severity\":\"error\"},\
+             {\"code\":\"DH0005\",\"col\":5,\"file\":\"crates/x/src/a.rs\",\"line\":7,\
+             \"message\":\"sum of f64 over hash order\",\"severity\":\"warning\"}],\
+             \"suppressed\":0,\"warnings\":1}"
+        );
+        assert_eq!(a, digibox_model::json::encode(&r.clone()));
+        assert_eq!(Value::from_json(&a).unwrap(), r.to_value());
     }
 }

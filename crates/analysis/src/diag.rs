@@ -8,7 +8,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use digibox_model::json;
+use digibox_model::json::ToValue;
+use digibox_model::{vmap, Value};
 
 /// How serious a finding is. Errors make `dbox lint` exit non-zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -334,44 +335,36 @@ impl Report {
         out.push('\n');
         out
     }
+}
 
-    /// Machine rendering. Hand-rolled so the key order stays fixed; the
-    /// shape is stable:
-    /// `{"findings": [...], "errors": N, "warnings": N, "infos": N,
-    /// "suppressed": N}`.
-    pub fn to_json(&self) -> String {
-        fn opt(v: &Option<String>) -> String {
-            v.as_deref().map_or_else(|| "null".into(), json::quote)
+/// A finding's span fields sit inline beside its code, severity and
+/// message; an absent one is `null`.
+impl ToValue for Diagnostic {
+    fn to_value(&self) -> Value {
+        vmap! {
+            "code" => self.code.as_str(),
+            "severity" => self.severity.as_str(),
+            "message" => self.message.to_value(),
+            "digi" => self.span.digi.to_value(),
+            "handler" => self.span.handler.to_value(),
+            "path" => self.span.path.to_value(),
+            "topic" => self.span.topic.to_value(),
+            "property" => self.span.property.to_value(),
         }
-        let findings: Vec<String> = self
-            .diagnostics
-            .iter()
-            .map(|d| {
-                format!(
-                    concat!(
-                        "{{\"code\": \"{}\", \"severity\": \"{}\", \"message\": {}, ",
-                        "\"digi\": {}, \"handler\": {}, \"path\": {}, \"topic\": {}, ",
-                        "\"property\": {}}}"
-                    ),
-                    d.code,
-                    d.severity.as_str(),
-                    json::quote(&d.message),
-                    opt(&d.span.digi),
-                    opt(&d.span.handler),
-                    opt(&d.span.path),
-                    opt(&d.span.topic),
-                    opt(&d.span.property),
-                )
-            })
-            .collect();
-        format!(
-            "{{\"findings\": [{}], \"errors\": {}, \"warnings\": {}, \"infos\": {}, \"suppressed\": {}}}\n",
-            findings.join(", "),
-            self.errors(),
-            self.warnings(),
-            self.infos(),
-            self.suppressed
-        )
+    }
+}
+
+/// The findings in [`Report::finish`] order, then the error, warning,
+/// info and suppressed counts.
+impl ToValue for Report {
+    fn to_value(&self) -> Value {
+        vmap! {
+            "findings" => self.diagnostics.to_value(),
+            "errors" => self.errors(),
+            "warnings" => self.warnings(),
+            "infos" => self.infos(),
+            "suppressed" => self.suppressed,
+        }
     }
 }
 
@@ -454,10 +447,14 @@ mod tests {
         let mut r = Report::new();
         r.push(LintCode::DuplicateName, Span::at_digi("a\"b"), "line\nbreak \\ \"q\"".into());
         r.finish(&BTreeSet::new(), &BTreeMap::new());
-        let json = r.to_json();
-        assert!(json.contains("\"digi\": \"a\\\"b\""), "{json}");
-        assert!(json.contains("line\\nbreak \\\\ \\\"q\\\""), "{json}");
-        assert!(json.contains("\"errors\": 1"));
-        assert!(json.contains("\"handler\": null"));
+        let json = digibox_model::json::encode(&r);
+        assert_eq!(
+            json,
+            "{\"errors\":1,\"findings\":[{\"code\":\"DL0008\",\"digi\":\"a\\\"b\",\
+             \"handler\":null,\"message\":\"line\\nbreak \\\\ \\\"q\\\"\",\"path\":null,\
+             \"property\":null,\"severity\":\"error\",\"topic\":null}],\"infos\":0,\
+             \"suppressed\":0,\"warnings\":0}"
+        );
+        assert_eq!(Value::from_json(&json).unwrap(), r.to_value());
     }
 }

@@ -172,16 +172,16 @@ impl MqttConn {
         &mut self,
         sim: &mut Sim,
         topic: &str,
-        payload: impl Into<Bytes>,
+        payload: impl AsRef<[u8]>,
         qos: QoS,
         retain: bool,
     ) -> Option<u16> {
-        let payload = payload.into();
         let packet_id = match qos {
             QoS::AtMostOnce => None,
             QoS::AtLeastOnce | QoS::ExactlyOnce => Some(self.next_pid()),
         };
-        let publish = PublishRef { dup: false, qos, retain, topic, packet_id, payload: &payload };
+        let publish =
+            PublishRef { dup: false, qos, retain, topic, packet_id, payload: payload.as_ref() };
         let packet =
             self.ep.send_with(sim, self.broker, publish.encoded_len(), |b| publish.encode_into(b));
         if let Some(pid) = packet_id {

@@ -13,6 +13,7 @@ use std::path::Path;
 
 use digibox_analysis::audit::{audit_paths, AuditOptions, DEFAULT_CRATES};
 use digibox_analysis::{parse_allow_codes, HazardCode};
+use digibox_model::json;
 
 use crate::Outcome;
 
@@ -80,7 +81,7 @@ pub fn run(dir: &Path, args: &[String]) -> Outcome {
     }
     match audit_paths(&paths, &opts) {
         Ok(report) => {
-            let stdout = if json { report.to_json() } else { report.render_pretty() };
+            let stdout = if json { json::encode(&report) + "\n" } else { report.render_pretty() };
             let code = if report.has_errors() { 2 } else { 0 };
             Outcome { stdout, code }
         }
@@ -123,8 +124,8 @@ mod auditcheck {
         std::fs::write(&bad, "let r = thread_rng();\n").unwrap();
         let out = run_args(&dir, &[bad.to_str().unwrap(), "--format", "json"]);
         assert_eq!(out.code, 2, "{}", out.stdout);
-        assert!(out.stdout.contains("\"code\": \"DH0001\""), "{}", out.stdout);
-        assert!(out.stdout.contains("\"errors\": 1"), "{}", out.stdout);
+        assert!(out.stdout.contains("\"code\":\"DH0001\""), "{}", out.stdout);
+        assert!(out.stdout.contains("\"errors\":1"), "{}", out.stdout);
         assert!(out.stdout.ends_with('\n'));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -117,9 +117,9 @@ fn run_inner(args: &[String]) -> Result<Outcome, String> {
         None => campaign.run_jobs(&seeds, jobs, demo_room),
     };
     if let Some(path) = out_file {
-        std::fs::write(&path, scorecard.to_json()).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(&path, json::encode(&scorecard)).map_err(|e| format!("{path}: {e}"))?;
     }
-    let stdout = if json { scorecard.to_json() + "\n" } else { scorecard.render() };
+    let stdout = if json { json::encode(&scorecard) + "\n" } else { scorecard.render() };
     // Seeds that failed to even run are an operational error (1), which
     // outranks the property verdict (2/0).
     let code = if !scorecard.errors.is_empty() {

@@ -694,6 +694,22 @@ mod tests {
     }
 
     #[test]
+    fn lint_and_audit_json_is_one_document_and_one_newline() {
+        let dir = tmpdir("json-newline");
+        let src = dir.join("clock.rs");
+        std::fs::write(&src, "let t = SystemTime::now();\n").unwrap();
+        let lint = run(&dir, &["lint", "--library", "--format", "json"]);
+        let audit = run(&dir, &["audit", src.to_str().unwrap(), "--format", "json"]);
+        assert_eq!((lint.code, audit.code), (0, 2), "{}{}", lint.stdout, audit.stdout);
+        for out in [lint, audit] {
+            let body = out.stdout.strip_suffix('\n').expect("ends in a newline");
+            assert!(!body.ends_with('\n'), "more than one newline: {:?}", out.stdout);
+            Value::from_json(body).unwrap_or_else(|e| panic!("{e}: {}", out.stdout));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn parse_kv() {
         let v = parse_kv_args(&["power=on".into(), "level=0.7".into(), "n=3".into(), "b=true".into()])
             .unwrap();

@@ -15,6 +15,7 @@ use std::path::Path;
 
 use digibox_analysis::{lint_ensemble, lint_catalog, parse_allow_codes, Ensemble, LintCode, Options, Report};
 use digibox_devices::full_catalog;
+use digibox_model::json;
 use digibox_registry::SetupManifest;
 
 use crate::{Outcome, Session};
@@ -35,7 +36,7 @@ pub fn run(dir: &Path, args: &[String]) -> Outcome {
     }
     match run_inner(dir, args) {
         Ok((report, json)) => {
-            let stdout = if json { report.to_json() + "\n" } else { report.render_pretty() };
+            let stdout = if json { json::encode(&report) + "\n" } else { report.render_pretty() };
             let code = if report.has_errors() { 2 } else { 0 };
             Outcome { stdout, code }
         }
@@ -152,7 +153,7 @@ mod lintcheck {
             ["--file", &path.display().to_string(), "--format", "json"].iter().map(|s| s.to_string()).collect();
         let out = run(&dir, &args);
         assert_eq!(out.code, 2, "{}", out.stdout);
-        assert!(out.stdout.contains("\"code\": \"DL0004\""), "{}", out.stdout);
+        assert!(out.stdout.contains("\"code\":\"DL0004\""), "{}", out.stdout);
         // suppressing the only finding exits clean
         let args: Vec<String> = ["--file", &path.display().to_string(), "--allow", "DL0004"]
             .iter()

@@ -16,11 +16,13 @@
 
 use std::path::Path;
 
+use digibox_core::campaign::SeedFailure;
 use digibox_core::islands::{self, IslandEnv, IslandSpec};
 use digibox_core::sweep::sweep;
 use digibox_core::{Testbed, TestbedConfig};
 use digibox_devices::{full_catalog, lamp_follows_vacancy};
-use digibox_model::json::quote as json_str;
+use digibox_model::json::{self, ToValue};
+use digibox_model::{vmap, Value};
 use digibox_net::SimDuration;
 
 use crate::{parse_seeds, Outcome};
@@ -119,13 +121,41 @@ impl SeedRow {
     }
 }
 
+impl ToValue for SeedRow {
+    fn to_value(&self) -> Value {
+        vmap! {
+            "seed" => self.seed.to_value(),
+            "violations" => self.violations.to_value(),
+            "records" => self.records.to_value(),
+            "publishes_in" => self.publishes_in.to_value(),
+            "publishes_out" => self.publishes_out.to_value(),
+            "kernel_events" => self.kernel_events.to_value(),
+            "handler_runs" => self.handler_runs.to_value(),
+            "batched_deliveries" => self.batched_deliveries.to_value(),
+        }
+    }
+}
+
 /// The merged sweep report: canonical JSON + sha256 digest, mirroring the
 /// chaos `Scorecard` contract (same bytes for any `--jobs`).
 struct SweepCard {
     ensemble: String,
     secs: u64,
     per_seed: Vec<SeedRow>,
-    errors: Vec<(u64, String)>,
+    errors: Vec<SeedFailure>,
+}
+
+/// The canonical JSON: the fields plus the derived `violations` total.
+impl ToValue for SweepCard {
+    fn to_value(&self) -> Value {
+        vmap! {
+            "ensemble" => self.ensemble.to_value(),
+            "secs" => self.secs.to_value(),
+            "violations" => self.violations().to_value(),
+            "per_seed" => self.per_seed.to_value(),
+            "errors" => self.errors.to_value(),
+        }
+    }
 }
 
 impl SweepCard {
@@ -133,46 +163,8 @@ impl SweepCard {
         self.per_seed.iter().map(|r| r.violations).sum()
     }
 
-    fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128 + 96 * self.per_seed.len());
-        out.push_str(&format!(
-            "{{\"ensemble\":{},\"secs\":{},\"violations\":{},\"per_seed\":[",
-            json_str(&self.ensemble),
-            self.secs,
-            self.violations()
-        ));
-        for (i, r) in self.per_seed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"seed\":{},\"violations\":{},\"records\":{},\
-                 \"publishes_in\":{},\"publishes_out\":{},\
-                 \"kernel_events\":{},\"handler_runs\":{},\
-                 \"batched_deliveries\":{}}}",
-                r.seed,
-                r.violations,
-                r.records,
-                r.publishes_in,
-                r.publishes_out,
-                r.kernel_events,
-                r.handler_runs,
-                r.batched_deliveries
-            ));
-        }
-        out.push_str("],\"errors\":[");
-        for (i, (seed, err)) in self.errors.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"seed\":{seed},\"error\":{}}}", json_str(err)));
-        }
-        out.push_str("]}");
-        out
-    }
-
     fn digest(&self) -> String {
-        digibox_registry::sha256(self.to_json().as_bytes()).to_string()
+        digibox_registry::sha256(json::encode(self).as_bytes()).to_string()
     }
 
     fn render(&self) -> String {
@@ -203,8 +195,8 @@ impl SweepCard {
                 r.batched_deliveries
             ));
         }
-        for (seed, err) in &self.errors {
-            out.push_str(&format!("  seed {seed:>3}: FAILED — {err}\n"));
+        for e in &self.errors {
+            out.push_str(&format!("  seed {:>3}: FAILED — {}\n", e.seed, e.error));
         }
         out.push_str(&format!("sweep digest {}\n", &self.digest()[..12]));
         out
@@ -310,15 +302,15 @@ fn run_inner(args: &[String]) -> Result<Outcome, String> {
     for run in outcome.runs {
         match run.result {
             Ok(row) => per_seed.push(row),
-            Err(e) => errors.push((run.seed, e.to_string())),
+            Err(e) => errors.push(SeedFailure { seed: run.seed, error: e.to_string() }),
         }
     }
     let card = SweepCard { ensemble, secs, per_seed, errors };
 
     if let Some(path) = out_file {
-        std::fs::write(&path, card.to_json()).map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(&path, json::encode(&card)).map_err(|e| format!("{path}: {e}"))?;
     }
-    let stdout = if json { card.to_json() + "\n" } else { card.render() };
+    let stdout = if json { json::encode(&card) + "\n" } else { card.render() };
     let code = if !card.errors.is_empty() {
         1
     } else if card.violations() == 0 {
@@ -570,17 +562,17 @@ mod sweepcheck {
                 handler_runs: 33,
                 batched_deliveries: 5,
             }],
-            errors: vec![(13, "panicked: boom".into())],
+            errors: vec![SeedFailure { seed: 13, error: "panicked: boom".into() }],
         };
-        let j = card.to_json();
+        let j = json::encode(&card);
         assert_eq!(
             j,
-            "{\"ensemble\":\"demo\",\"secs\":30,\"violations\":0,\"per_seed\":[\
-             {\"seed\":1,\"violations\":0,\"records\":42,\"publishes_in\":7,\
-             \"publishes_out\":9,\"kernel_events\":120,\"handler_runs\":33,\
-             \"batched_deliveries\":5}],\
-             \"errors\":[{\"seed\":13,\"error\":\"panicked: boom\"}]}"
+            "{\"ensemble\":\"demo\",\"errors\":[{\"error\":\"panicked: boom\",\"seed\":13}],\
+             \"per_seed\":[{\"batched_deliveries\":5,\"handler_runs\":33,\"kernel_events\":120,\
+             \"publishes_in\":7,\"publishes_out\":9,\"records\":42,\"seed\":1,\
+             \"violations\":0}],\"secs\":30,\"violations\":0}"
         );
+        assert_eq!(Value::from_json(&j).unwrap(), card.to_value());
         assert_eq!(card.digest(), card.digest());
         assert_eq!(card.digest().len(), 64);
         assert!(card.render().contains("seed  13: FAILED — panicked: boom"));

@@ -196,7 +196,7 @@ impl AppClient {
     }
 
     /// Publish an MQTT message (requires `with_mqtt`).
-    pub fn publish(&mut self, sim: &mut Sim, topic: &str, payload: impl Into<Bytes>, qos: QoS) {
+    pub fn publish(&mut self, sim: &mut Sim, topic: &str, payload: impl AsRef<[u8]>, qos: QoS) {
         if let Some(conn) = self.conn.as_mut() {
             conn.publish(sim, topic, payload, qos, false);
         }

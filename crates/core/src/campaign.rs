@@ -13,7 +13,8 @@
 
 use std::collections::BTreeMap;
 
-use digibox_model::json::quote as json_str;
+use digibox_model::json::{self, ToValue};
+use digibox_model::{vmap, Value};
 use digibox_net::chaos::{self, FaultKind, FaultPlan, FaultWindow};
 use digibox_net::{NodeId, SimDuration, SimTime};
 use digibox_trace::RecordKind;
@@ -98,75 +99,10 @@ impl Scorecard {
         self.post_heal_violations() == 0
     }
 
-    /// Canonical JSON (hand-built, sorted keys, fixed float precision) so
-    /// the digest is stable across platforms and versions.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + 256 * self.per_seed.len());
-        out.push_str(&format!(
-            "{{\"plan\":{},\"convergence_ms\":{},\"clean\":{},\"post_heal_violations\":{},\"per_seed\":[",
-            json_str(&self.plan),
-            self.convergence_ms,
-            self.clean(),
-            self.post_heal_violations()
-        ));
-        for (i, s) in self.per_seed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"seed\":{},\"availability\":{{", s.seed));
-            for (j, (name, a)) in s.availability.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{}:{:.6}", json_str(name), a));
-            }
-            out.push_str("},\"restarts\":{");
-            for (j, (name, n)) in s.restarts.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{}:{}", json_str(name), n));
-            }
-            out.push_str(&format!(
-                "}},\"messages_lost\":{},\"messages_redelivered\":{},\
-                 \"broker_sessions_expired\":{},\"checkpoints_taken\":{},\
-                 \"violations_during_fault\":{},\"violations_post_heal\":{},\
-                 \"time_to_reconverge_ms\":{},\"metrics\":{{",
-                s.messages_lost,
-                s.messages_redelivered,
-                s.broker_sessions_expired,
-                s.checkpoints_taken,
-                s.violations_during_fault,
-                s.violations_post_heal,
-                s.time_to_reconverge_ms
-            ));
-            for (j, (name, v)) in s.metrics.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{}:{}", json_str(name), v));
-            }
-            out.push_str("}}");
-        }
-        out.push_str("],\"errors\":[");
-        for (i, e) in self.errors.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"seed\":{},\"error\":{}}}",
-                e.seed,
-                json_str(&e.error)
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Content digest of the canonical JSON — two runs of the same plan,
-    /// seeds and setup must produce the same digest.
+    /// Content digest of the canonical JSON ([`json::encode`]) — two
+    /// runs of the same plan, seeds and setup must produce the same digest.
     pub fn digest(&self) -> String {
-        digibox_registry::sha256(self.to_json().as_bytes()).to_string()
+        digibox_registry::sha256(json::encode(self).as_bytes()).to_string()
     }
 
     /// Human-readable summary for the CLI's pretty format.
@@ -211,6 +147,45 @@ impl Scorecard {
         }
         out.push_str(&format!("scorecard digest {}\n", &self.digest()[..12]));
         out
+    }
+}
+
+impl ToValue for SeedFailure {
+    fn to_value(&self) -> Value {
+        vmap! { "seed" => self.seed.to_value(), "error" => self.error.to_value() }
+    }
+}
+
+impl ToValue for SeedReport {
+    fn to_value(&self) -> Value {
+        vmap! {
+            "seed" => self.seed.to_value(),
+            "availability" => self.availability.to_value(),
+            "restarts" => self.restarts.to_value(),
+            "messages_lost" => self.messages_lost.to_value(),
+            "messages_redelivered" => self.messages_redelivered.to_value(),
+            "broker_sessions_expired" => self.broker_sessions_expired.to_value(),
+            "checkpoints_taken" => self.checkpoints_taken.to_value(),
+            "violations_during_fault" => self.violations_during_fault.to_value(),
+            "violations_post_heal" => self.violations_post_heal.to_value(),
+            "time_to_reconverge_ms" => self.time_to_reconverge_ms.to_value(),
+            "metrics" => self.metrics.to_value(),
+        }
+    }
+}
+
+/// The canonical JSON: the fields plus the derived `clean` and
+/// `post_heal_violations`.
+impl ToValue for Scorecard {
+    fn to_value(&self) -> Value {
+        vmap! {
+            "plan" => self.plan.to_value(),
+            "convergence_ms" => self.convergence_ms.to_value(),
+            "clean" => self.clean(),
+            "post_heal_violations" => self.post_heal_violations().to_value(),
+            "per_seed" => self.per_seed.to_value(),
+            "errors" => self.errors.to_value(),
+        }
     }
 }
 
@@ -579,17 +554,19 @@ mod campaign {
     #[test]
     fn json_is_canonical() {
         let s = sample();
-        let j = s.to_json();
-        assert!(j.starts_with("{\"plan\":\"demo\""), "{j}");
-        assert!(j.contains("\"availability\":{\"L1\":0.943200,\"R1\":1.000000}"), "{j}");
-        assert!(j.contains("\"clean\":true"));
-        assert!(
-            j.contains("\"metrics\":{\"broker.publishes\":25,\"kernel.events\":400}"),
-            "{j}"
+        let j = json::encode(&s);
+        assert_eq!(
+            j,
+            "{\"clean\":true,\"convergence_ms\":2000,\"errors\":[],\"per_seed\":[{\
+             \"availability\":{\"L1\":0.9432,\"R1\":1.0},\"broker_sessions_expired\":1,\
+             \"checkpoints_taken\":12,\"messages_lost\":14,\"messages_redelivered\":9,\
+             \"metrics\":{\"broker.publishes\":25,\"kernel.events\":400},\
+             \"restarts\":{\"L1\":2},\"seed\":7,\"time_to_reconverge_ms\":840,\
+             \"violations_during_fault\":3,\"violations_post_heal\":0}],\
+             \"plan\":\"demo\",\"post_heal_violations\":0}"
         );
-        assert_eq!(j, s.to_json());
-        assert!(j.ends_with("\"errors\":[]}"), "{j}");
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(Value::from_json(&j).unwrap(), s.to_value());
+        assert_eq!(j, json::encode(&s));
     }
 
     #[test]
@@ -598,11 +575,12 @@ mod campaign {
         let mut failed = sample();
         failed.errors.push(SeedFailure { seed: 13, error: "panicked: boom".into() });
         assert_ne!(clean.digest(), failed.digest());
+        let j = json::encode(&failed);
         assert!(
-            failed.to_json().contains("\"errors\":[{\"seed\":13,\"error\":\"panicked: boom\"}]"),
-            "{}",
-            failed.to_json()
+            j.contains("\"errors\":[{\"error\":\"panicked: boom\",\"seed\":13}]"),
+            "{j}"
         );
+        assert_eq!(Value::from_json(&j).unwrap(), failed.to_value());
         assert!(failed.render().contains("seed  13: FAILED — panicked: boom"), "{}", failed.render());
         // failures don't count as post-heal violations — clean() is about
         // property verdicts; callers surface errors separately (exit 1).

@@ -13,7 +13,7 @@ use digibox_net::{
     Addr, NodeId, Prng, ServiceHandle, Sim, SimConfig, SimDuration, SimTime, Topology,
 };
 use digibox_obs as obs;
-use digibox_orchestrator::{ControlPlane, ControlPlaneConfig, PodAction, PodPhase, PodSpec};
+use digibox_orchestrator::{ControlPlane, PodAction, PodPhase, PodSpec};
 use digibox_registry::{InstanceDecl, Repository, SetupManifest};
 use digibox_trace::{ReplaySchedule, TraceLog};
 
@@ -287,10 +287,7 @@ impl Testbed {
                 ..Default::default()
             },
         );
-        let control = Rc::new(RefCell::new(ControlPlane::new(
-            &nodes,
-            ControlPlaneConfig { seed: config.seed ^ 0x5EED, ..Default::default() },
-        )));
+        let control = Rc::new(RefCell::new(ControlPlane::new(&nodes, config.seed ^ 0x5EED)));
         if config.home_node.is_some() {
             let mut cp = control.borrow_mut();
             for (id, _) in &nodes {
@@ -533,11 +530,8 @@ impl Testbed {
         if pod_exists {
             self.control.borrow_mut().requeue(&pod);
         } else {
-            let pod_spec = if program.is_scene() {
-                PodSpec::scene(&pod, program.program_id())
-            } else {
-                PodSpec::mock(&pod, program.program_id())
-            };
+            let pod_spec =
+                if program.is_scene() { PodSpec::scene(&pod) } else { PodSpec::mock(&pod) };
             self.control.borrow_mut().create_pod(pod_spec)?;
         }
         let (addr, overhead, start_delay) = self.place(&pod)?;
@@ -880,7 +874,7 @@ impl Testbed {
         // One pod for the whole pool; resources scale sub-linearly with
         // occupancy (the whole point of consolidation).
         let pod_name = format!("pool-{}", self.next_digi_port);
-        let pod_spec = PodSpec::scene(&pod_name, "faas/pool")
+        let pod_spec = PodSpec::scene(&pod_name)
             .with_resources(10 + names.len() as u64 / 4, 16 + names.len() as u64 / 8);
         self.control.borrow_mut().create_pod(pod_spec)?;
         let (addr, overhead, start_delay) = self.place(&pod_name)?;

@@ -4,8 +4,11 @@
 //!
 //! Everything Digibox writes as JSON — content-addressed setups and
 //! packages, checkpoints, trace records, session journals, fault plans,
-//! MQTT payloads — goes through this module, so equal values always
-//! produce equal bytes:
+//! MQTT payloads, and the chaos scorecard, sweep card, lint and audit
+//! reports — goes through this module, so equal values always produce
+//! equal bytes. The one exception is `digibox_obs`'s stats snapshot: obs
+//! sits below this crate and keeps a copy of the string escaper, which
+//! `tests/obs_determinism.rs` pins to this writer. The layout:
 //!
 //! * objects are [`Value::Map`]s, so keys come out sorted;
 //! * integers print as decimal, floats as the shortest digits that
@@ -406,13 +409,6 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// `s` as a quoted JSON string.
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    write_str(&mut out, s);
-    out
-}
-
 /// Append `x` with the shortest digits that round-trip, laid out as
 /// `d.0` / `dd.dd` / `0.000dd` for decimal exponents in `[-5, 16)` and as
 /// `de±x` / `d.dde±x` outside it; non-finite values become `null`.
@@ -767,7 +763,7 @@ mod tests {
     #[test]
     fn string_escapes_golden() {
         let s = "q\"b\\s/\n\r\t\u{0}\u{8}\u{c}\u{1f}\u{7f}é☃";
-        let json = quote(s);
+        let json = Value::Str(s.into()).to_json();
         assert_eq!(json, "\"q\\\"b\\\\s/\\n\\r\\t\\u0000\\u0008\\u000c\\u001f\u{7f}é☃\"");
         assert_eq!(Value::from_json(&json).unwrap(), Value::Str(s.into()));
         assert_eq!(

@@ -468,8 +468,9 @@ pub fn snapshot() -> Snapshot {
 }
 
 /// Minimal JSON string escaping (quotes, backslash, control chars),
-/// byte-identical to `digibox_model::json::quote`. A copy, because this
-/// crate sits below `digibox-model` and builds standalone.
+/// byte-identical to the strings `digibox_model::json` writes
+/// (`tests/obs_determinism.rs` checks it). A copy, because this crate
+/// sits below `digibox-model` and builds standalone.
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -498,8 +499,9 @@ impl Snapshot {
             .unwrap_or(0)
     }
 
-    /// Canonical JSON (hand-built, sorted keys, integers only) — the same
-    /// digest-stable convention the chaos scorecard uses.
+    /// Canonical JSON (hand-built, integers only). Without histograms it is
+    /// the text `digibox_model::json` writes for the same tree; a
+    /// histogram's keys keep the order `count`, `sum`, `max`, `buckets`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + 48 * self.counters.len());
         out.push_str(&format!("{{\"clock_ns\":{},\"counters\":{{", self.clock_ns));

@@ -12,13 +12,13 @@
 //! * [`ControlPlane`] — ties it together: its pod table is the one record
 //!   of pod state. It reconciles desired pods against node capacity and
 //!   emits timed [`PodAction`]s that the testbed applies on the simulation
-//!   kernel (container startup delays, restarts, evictions on node
-//!   failure).
+//!   kernel (container startup delays); crashed pods back off
+//!   exponentially before the testbed requeues them.
 
 mod control;
 mod pod;
 mod scheduler;
 
-pub use control::{ControlPlane, ControlPlaneConfig, PodAction, PodError};
-pub use pod::{PodPhase, PodSpec, RestartPolicy};
+pub use control::{ControlPlane, PodAction, PodError};
+pub use pod::{PodPhase, PodSpec};
 pub use scheduler::{NodeAlloc, ScheduleError, Scheduler};

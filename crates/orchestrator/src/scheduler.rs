@@ -55,7 +55,7 @@ impl NodeAlloc {
 /// Placement failures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScheduleError {
-    /// No node has room (or the selected node doesn't).
+    /// No node has room.
     Unschedulable { pod: String },
     UnknownNode(NodeId),
 }
@@ -99,18 +99,10 @@ impl Scheduler {
         Ok(())
     }
 
-    /// Place `pod`: honors `node_selector`, else picks the fitting node
-    /// with the lowest allocated-CPU fraction (ties → lowest node id, so
-    /// placement is deterministic). Charges the node on success.
+    /// Place `pod` on the fitting node with the lowest allocated-CPU
+    /// fraction (ties → lowest node id, so placement is deterministic).
+    /// Charges the node on success.
     pub fn place(&mut self, pod: &PodSpec) -> Result<NodeId, ScheduleError> {
-        if let Some(wanted) = pod.node_selector {
-            let node = self.nodes.get_mut(&wanted).ok_or(ScheduleError::UnknownNode(wanted))?;
-            if !node.fits(pod) {
-                return Err(ScheduleError::Unschedulable { pod: pod.name.clone() });
-            }
-            node.charge(pod);
-            return Ok(wanted);
-        }
         let best = self
             .nodes
             .iter()
@@ -164,7 +156,7 @@ mod tests {
         s.add_node(NodeId(1), small_node());
         let mut placements = Vec::new();
         for i in 0..4 {
-            let pod = PodSpec::mock(&format!("p{i}"), "img");
+            let pod = PodSpec::mock(&format!("p{i}"));
             placements.push(s.place(&pod).unwrap());
         }
         // alternates between the two nodes
@@ -177,34 +169,21 @@ mod tests {
         s.add_node(NodeId(0), small_node());
         // 100 millis capacity, 5 per pod → 20 pods fit
         for i in 0..20 {
-            s.place(&PodSpec::mock(&format!("p{i}"), "img")).unwrap();
+            s.place(&PodSpec::mock(&format!("p{i}"))).unwrap();
         }
-        let err = s.place(&PodSpec::mock("p20", "img")).unwrap_err();
+        let err = s.place(&PodSpec::mock("p20")).unwrap_err();
         assert!(matches!(err, ScheduleError::Unschedulable { .. }));
         assert_eq!(s.total_pods(), 20);
-    }
-
-    #[test]
-    fn node_selector_pins() {
-        let mut s = Scheduler::new();
-        s.add_node(NodeId(0), small_node());
-        s.add_node(NodeId(1), small_node());
-        let pod = PodSpec::mock("pinned", "img").on_node(NodeId(1));
-        assert_eq!(s.place(&pod).unwrap(), NodeId(1));
-        assert!(matches!(
-            s.place(&PodSpec::mock("ghost", "img").on_node(NodeId(9))),
-            Err(ScheduleError::UnknownNode(NodeId(9)))
-        ));
     }
 
     #[test]
     fn memory_also_limits() {
         let mut s = Scheduler::new();
         s.add_node(NodeId(0), tight_mem_node());
-        let fat = PodSpec::mock("fat", "img").with_resources(10, 90);
+        let fat = PodSpec::mock("fat").with_resources(10, 90);
         s.place(&fat).unwrap();
         // memory exhausted even though CPU remains
-        let err = s.place(&PodSpec::mock("fat2", "img").with_resources(10, 20)).unwrap_err();
+        let err = s.place(&PodSpec::mock("fat2").with_resources(10, 20)).unwrap_err();
         assert!(matches!(err, ScheduleError::Unschedulable { .. }));
     }
 
@@ -212,11 +191,11 @@ mod tests {
     fn unplace_frees_resources() {
         let mut s = Scheduler::new();
         s.add_node(NodeId(0), small_node());
-        let pod = PodSpec::mock("p", "img").with_resources(100, 100);
+        let pod = PodSpec::mock("p").with_resources(100, 100);
         let node = s.place(&pod).unwrap();
-        assert!(s.place(&PodSpec::mock("q", "img")).is_err());
+        assert!(s.place(&PodSpec::mock("q")).is_err());
         s.unplace(node, &pod);
-        s.place(&PodSpec::mock("q", "img")).unwrap();
+        s.place(&PodSpec::mock("q")).unwrap();
     }
 
     #[test]
@@ -226,9 +205,9 @@ mod tests {
         s.add_node(NodeId(1), small_node());
         s.cordon(NodeId(0), true).unwrap();
         for i in 0..3 {
-            assert_eq!(s.place(&PodSpec::mock(&format!("p{i}"), "img")).unwrap(), NodeId(1));
+            assert_eq!(s.place(&PodSpec::mock(&format!("p{i}"))).unwrap(), NodeId(1));
         }
         s.cordon(NodeId(0), false).unwrap();
-        assert_eq!(s.place(&PodSpec::mock("px", "img")).unwrap(), NodeId(0));
+        assert_eq!(s.place(&PodSpec::mock("px")).unwrap(), NodeId(0));
     }
 }

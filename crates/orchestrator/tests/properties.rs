@@ -4,7 +4,7 @@
 //! (`for_each_seed`).
 
 use digibox_net::{for_each_seed, NodeId, NodeSpec, Prng, SimDuration};
-use digibox_orchestrator::{ControlPlane, ControlPlaneConfig, PodAction, PodPhase, PodSpec};
+use digibox_orchestrator::{ControlPlane, PodAction, PodPhase, PodSpec};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -69,12 +69,12 @@ fn control_plane_invariants_hold_under_arbitrary_ops() {
     for_each_seed(64, |rng| {
         let ops: Vec<Op> = (0..rng.range_usize(1, 80)).map(|_| op(rng)).collect();
         let nodes: Vec<(NodeId, NodeSpec)> = (0..3).map(|i| (NodeId(i), node_spec(i))).collect();
-        let mut cp = ControlPlane::new(&nodes, ControlPlaneConfig::default());
+        let mut cp = ControlPlane::new(&nodes, rng.next_u64());
         let pod_name = |i: u8| format!("p{i}");
         for op in ops {
             match op {
                 Op::Create(i) => {
-                    let _ = cp.create_pod(PodSpec::mock(&pod_name(i), "img"));
+                    let _ = cp.create_pod(PodSpec::mock(&pod_name(i)));
                 }
                 Op::Reconcile => {
                     for action in cp.reconcile() {
@@ -86,18 +86,22 @@ fn control_plane_invariants_hold_under_arbitrary_ops() {
                     }
                 }
                 Op::MarkRunning(i) => cp.mark_running(&pod_name(i)),
-                Op::Crash(i) => {
-                    let _ = cp.report_exit(&pod_name(i));
-                }
+                Op::Crash(i) => cp.report_exit(&pod_name(i)),
                 Op::Delete(i) => {
                     let _ = cp.delete_pod(&pod_name(i));
                 }
+                // What `Testbed::fail_node` does: cordon the node, then
+                // every pod placed on it exits.
                 Op::FailNode(n) => {
-                    cp.fail_node(NodeId(n as u32));
+                    let node = NodeId(n as u32);
+                    cp.set_cordon(node, true);
+                    for name in cp.pod_names() {
+                        if cp.phase(&name).and_then(|p| p.node()) == Some(node) {
+                            cp.report_exit(&name);
+                        }
+                    }
                 }
-                Op::RestoreNode(n) => {
-                    cp.restore_node(NodeId(n as u32));
-                }
+                Op::RestoreNode(n) => cp.set_cordon(NodeId(n as u32), false),
             }
             check_invariants(&cp);
         }
@@ -112,9 +116,9 @@ fn delete_everything_returns_to_empty() {
     for_each_seed(64, |rng| {
         let n_pods = rng.range_u64(1, 30) as u8;
         let nodes: Vec<(NodeId, NodeSpec)> = (0..2).map(|i| (NodeId(i), node_spec(i))).collect();
-        let mut cp = ControlPlane::new(&nodes, ControlPlaneConfig::default());
+        let mut cp = ControlPlane::new(&nodes, rng.next_u64());
         for i in 0..n_pods {
-            cp.create_pod(PodSpec::mock(&format!("p{i}"), "img")).unwrap();
+            cp.create_pod(PodSpec::mock(&format!("p{i}"))).unwrap();
         }
         cp.reconcile();
         for i in 0..n_pods {

@@ -3,7 +3,8 @@
 # line per determinism digest — chaos scorecards, sweep reports, a
 # library scene's stats snapshot and trace archive, and the E1/E2 bench
 # rows. Run it at two commits and diff the tables: a change that claims
-# to keep behaviour must reproduce every line.
+# to keep behaviour must reproduce every line. scripts/digest_witness.txt
+# holds the table of the current tree; CI diffs the output against it.
 #
 # Usage: scripts/digest_witness.sh
 set -euo pipefail

@@ -8,6 +8,7 @@
 use std::path::{Path, PathBuf};
 
 use digibox_analysis::audit::{audit_paths, AuditOptions, DEFAULT_CRATES};
+use digibox_model::json;
 
 /// The workspace root, two levels above `crates/integration`.
 fn repo_root() -> PathBuf {
@@ -34,8 +35,8 @@ fn simulation_crates_audit_clean() {
 fn audit_report_is_byte_stable() {
     let root = repo_root();
     let paths: Vec<PathBuf> = DEFAULT_CRATES.iter().map(|c| root.join(c)).collect();
-    let a = audit_paths(&paths, &AuditOptions::default()).unwrap().to_json();
-    let b = audit_paths(&paths, &AuditOptions::default()).unwrap().to_json();
+    let a = json::encode(&audit_paths(&paths, &AuditOptions::default()).unwrap());
+    let b = json::encode(&audit_paths(&paths, &AuditOptions::default()).unwrap());
     assert_eq!(a, b, "two runs over the same tree must render identically");
 }
 

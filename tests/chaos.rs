@@ -8,7 +8,7 @@ use digibox_broker::QoS;
 use digibox_core::campaign::Campaign;
 use digibox_core::{AppEvent, Testbed, TestbedConfig};
 use digibox_devices::{demo_room, full_catalog};
-use digibox_model::Value;
+use digibox_model::{json, Value};
 use digibox_net::chaos::{FaultKind, FaultPlan, FaultSpec};
 use digibox_net::SimDuration;
 use digibox_trace::RecordKind;
@@ -41,7 +41,7 @@ fn scorecard_digest_is_deterministic() {
     let a = campaign.run_jobs(&[1, 2], 1, demo_room);
     let b = campaign.run_jobs(&[1, 2], 1, demo_room);
     assert_eq!(a.digest(), b.digest(), "same plan + seeds must give an identical scorecard");
-    assert_eq!(a.to_json(), b.to_json());
+    assert_eq!(json::encode(&a), json::encode(&b));
 
     // a different seed takes a different trajectory (jittered windows,
     // different crash timing) — the digest must reflect that
@@ -190,8 +190,8 @@ fn broker_crash_campaign_is_clean_and_jobs_invariant() {
     let a = campaign.run_jobs(&[1, 2], 1, demo_room);
     let b = campaign.run_jobs(&[1, 2], 2, demo_room);
     assert_eq!(
-        a.to_json(),
-        b.to_json(),
+        json::encode(&a),
+        json::encode(&b),
         "scorecard must be byte-identical across --jobs"
     );
     assert_eq!(a.digest(), b.digest());

@@ -62,7 +62,7 @@ fn crashed_mock_fires_last_will_and_restarts() {
         "keep-alive should have reaped the dead session: {stats:?}"
     );
 
-    // and the control plane restarted it (restart policy Always)
+    // and the control plane restarted it
     assert!(tb.check("L1").is_ok(), "digi restarted after crash");
     let restarts = tb.log().view().source("L1").tag("lifecycle").collect();
     assert!(
@@ -190,4 +190,57 @@ fn cluster_scale_survives_node_count_one() {
             .unwrap();
         assert_eq!(t, presence);
     }
+}
+
+#[test]
+fn node_failure_reschedules_to_survivor() {
+    let mut tb = Testbed::ec2(2, full_catalog(), TestbedConfig { seed: 3, ..Default::default() });
+    let lamps: Vec<String> = (0..6).map(|i| format!("L{i}")).collect();
+    for name in &lamps {
+        tb.run("Lamp", name).unwrap();
+    }
+    tb.run_for(SimDuration::from_secs(1));
+    for name in &lamps {
+        tb.edit(name, digibox_model::vmap! { "power" => "on" }).unwrap();
+    }
+    // past the first checkpoint (every 5 s), so each lamp is saved "on"
+    tb.run_for(SimDuration::from_secs(5));
+    let victim = tb.digi_addr("L0").unwrap().node;
+    let on_victim: Vec<&String> =
+        lamps.iter().filter(|n| tb.digi_addr(n).unwrap().node == victim).collect();
+    assert!(on_victim.len() < lamps.len(), "spread placement used both nodes");
+
+    let seq0 = tb.log().records().last().map(|r| r.seq);
+    tb.fail_node(victim).unwrap();
+    // the first restart backoff (500 ms) plus the container start
+    tb.run_for(SimDuration::from_secs(3));
+    let records = tb.log().since(seq0);
+    for name in &lamps {
+        let lifecycle: Vec<(&str, &str)> = records
+            .iter()
+            .filter(|r| &r.source == name)
+            .filter_map(|r| match &r.kind {
+                digibox_trace::RecordKind::Lifecycle { action, detail }
+                    if action == "killed" || action == "restarted" =>
+                {
+                    Some((action.as_str(), detail.as_str()))
+                }
+                _ => None,
+            })
+            .collect();
+        let node = tb.digi_addr(name).unwrap().node;
+        if on_victim.contains(&name) {
+            assert_eq!(lifecycle, [("killed", ""), ("restarted", "from checkpoint")], "{name}");
+            assert_ne!(node, victim, "{name} restarted on the failed node");
+        } else {
+            assert!(lifecycle.is_empty(), "{name} on the survivor was restarted: {lifecycle:?}");
+        }
+        let power = tb.check(name).unwrap().lookup(&"power.status".into()).cloned();
+        assert_eq!(power, Some(Value::from("on")), "{name} resumed its checkpointed state");
+    }
+
+    // Restored, the now-empty node is the least allocated one again.
+    tb.restore_node(victim);
+    tb.run("Lamp", "L6").unwrap();
+    assert_eq!(tb.digi_addr("L6").unwrap().node, victim);
 }

@@ -182,7 +182,7 @@ fn suppression_and_json_output() {
     assert_eq!(report.suppressed, 1);
 
     // JSON is valid and carries the counts
-    let json = report.to_json();
+    let json = digibox_model::json::encode(&report);
     let parsed = digibox_model::Value::from_json(&json).expect("lint JSON parses");
     assert_eq!(parsed.get("suppressed").and_then(|v| v.as_int()), Some(1));
     assert_eq!(parsed.get("errors").and_then(|v| v.as_int()), Some(0));

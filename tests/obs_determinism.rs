@@ -4,12 +4,20 @@
 //!   byte-identical across two runs of the same scene and seed;
 //! * turning metrics **off** must change nothing observable: the trace
 //!   digest and model states are bit-identical to a metrics-on run,
-//!   because recording never touches the kernel's event order or any RNG.
+//!   because recording never touches the kernel's event order or any RNG;
+//! * obs writes its snapshot JSON with its own copy of the string escaper
+//!   (it sits below `digibox_model`), which must agree byte for byte with
+//!   the canonical writer in `digibox_model::json`.
 
 use digibox_core::{Testbed, TestbedConfig};
 use digibox_devices::full_catalog;
+use std::collections::BTreeMap;
+
 use digibox_integration::no_params;
-use digibox_net::SimDuration;
+use digibox_model::json::ToValue;
+use digibox_model::{vmap, Value};
+use digibox_net::{for_each_seed, Prng, SimDuration};
+use digibox_obs::Snapshot;
 use digibox_registry::sha256;
 
 const SENSORS: usize = 30;
@@ -81,4 +89,50 @@ fn metrics_off_changes_no_behavior() {
     // An off-run snapshot is empty — nothing was recorded.
     assert!(!json_off.contains("\"kernel.events\":"), "{json_off}");
     assert!(folded_off.is_empty(), "{folded_off}");
+}
+
+/// `n` distinct seeded names over `"`, `\`, every control character, DEL
+/// and non-ASCII, sorted.
+fn names(rng: &mut Prng, n: usize) -> Vec<String> {
+    let alphabet: String = (0u8..0x20)
+        .map(char::from)
+        .chain(['"', '\\', '\u{7f}', 'é', '☃', '😀', 'a', ';'])
+        .collect();
+    let mut names: Vec<String> = (0..n).map(|_| rng.string(&alphabet, 0, 12)).collect();
+    names.sort();
+    names.dedup();
+    names
+}
+
+#[test]
+fn snapshot_json_equals_the_canonical_writer() {
+    for_each_seed(64, |rng| {
+        // Counters stay below 2^63: the canonical writer prints a larger
+        // `u64` as the negative `i64` with the same bits.
+        let mut counters: Vec<(String, u64)> =
+            names(rng, 8).into_iter().map(|n| (n, rng.next_u64() >> 1)).collect();
+        let mut gauges: Vec<(String, i64)> =
+            names(rng, 4).into_iter().map(|n| (n, rng.next_u64() as i64)).collect();
+        let mut spans: Vec<(String, u64)> =
+            names(rng, 8).into_iter().map(|n| (n, rng.range_u64(1, 1000))).collect();
+        // The order `obs::snapshot` gives its sections.
+        counters.sort();
+        gauges.sort();
+        spans.sort();
+        let snap = Snapshot {
+            clock_ns: rng.next_u64() >> 1,
+            counters,
+            gauges,
+            histograms: Vec::new(),
+            spans,
+        };
+        let canonical = vmap! {
+            "clock_ns" => snap.clock_ns.to_value(),
+            "counters" => snap.counters.iter().cloned().collect::<BTreeMap<_, _>>().to_value(),
+            "gauges" => snap.gauges.iter().cloned().collect::<BTreeMap<_, _>>().to_value(),
+            "histograms" => Value::map(),
+            "spans" => snap.spans.to_value(),
+        };
+        assert_eq!(snap.to_json(), canonical.to_json());
+    });
 }

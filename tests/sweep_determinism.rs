@@ -7,6 +7,7 @@
 
 use digibox_core::campaign::Campaign;
 use digibox_devices::demo_room;
+use digibox_model::json;
 use digibox_net::chaos::{FaultKind, FaultPlan, FaultSpec};
 
 fn short_plan() -> FaultPlan {
@@ -29,8 +30,8 @@ fn scorecard_is_byte_identical_across_jobs_counts() {
 
     assert!(serial.errors.is_empty(), "{:?}", serial.errors);
     assert_eq!(serial.per_seed.len(), seeds.len());
-    assert_eq!(serial.to_json(), two.to_json(), "jobs=2 scorecard diverged");
-    assert_eq!(serial.to_json(), all.to_json(), "jobs=all scorecard diverged");
+    assert_eq!(json::encode(&serial), json::encode(&two), "jobs=2 scorecard diverged");
+    assert_eq!(json::encode(&serial), json::encode(&all), "jobs=all scorecard diverged");
     assert_eq!(serial.digest(), two.digest());
     assert_eq!(serial.digest(), all.digest());
 }
@@ -63,6 +64,6 @@ fn panicking_seed_is_reported_without_aborting_the_sweep() {
     );
 
     // and the failure report is itself deterministic across jobs counts
-    assert_eq!(serial.to_json(), parallel.to_json());
+    assert_eq!(json::encode(&serial), json::encode(&parallel));
     assert_eq!(serial.digest(), parallel.digest());
 }
