@@ -260,6 +260,10 @@ pub struct Broker {
     /// A non-clean CONNECT under the key resumes the entry; a clean one
     /// destroys it.
     stashed: BTreeMap<String, SessionSnapshot>,
+    /// Client ids of the stashed sessions that hold a plain (non-`$share`)
+    /// filter, the only ones offline queueing can add to. `stash` and
+    /// `unstash` keep it in step with `stashed`.
+    stash_subscribed: BTreeSet<String>,
     /// filter → subscription entries (address, granted qos, share group)
     subs: TopicTrie<SubEntry>,
     /// interned topic id → fully resolved delivery lists (deduped,
@@ -301,6 +305,7 @@ impl Broker {
             sessions: HashMap::default(),
             client_index: BTreeMap::new(),
             stashed: BTreeMap::new(),
+            stash_subscribed: BTreeSet::new(),
             subs: TopicTrie::new(),
             route_cache: HashMap::default(),
             route_epoch: 0,
@@ -389,8 +394,25 @@ impl Broker {
                     self.next_pid = ob.packet_id.checked_add(1).unwrap_or(1);
                 }
             }
-            self.stashed.insert(snap.client_id.clone(), snap);
+            self.stash(snap);
         }
+    }
+
+    /// Keep a persistent session's state until its client reconnects,
+    /// replacing any stash entry under the same client id.
+    fn stash(&mut self, snap: SessionSnapshot) {
+        if snap.subscriptions.iter().any(|(f, _)| parse_share(f).is_none()) {
+            self.stash_subscribed.insert(snap.client_id.clone());
+        } else {
+            self.stash_subscribed.remove(&snap.client_id);
+        }
+        self.stashed.insert(snap.client_id.clone(), snap);
+    }
+
+    /// Take a client's stashed session out of the stash.
+    fn unstash(&mut self, client_id: &str) -> Option<SessionSnapshot> {
+        self.stash_subscribed.remove(client_id);
+        self.stashed.remove(client_id)
     }
 
     /// Application-level retained messages (excludes the broker's own
@@ -432,7 +454,7 @@ impl Broker {
                     self.drop_session(sim, from, false);
                 }
                 if flags.clean_session {
-                    self.stashed.remove(&client_id);
+                    self.unstash(&client_id);
                 }
                 let resumed = !flags.clean_session && self.stashed.contains_key(&client_id);
                 let mut session = Session {
@@ -447,7 +469,7 @@ impl Broker {
                     outbound: PidMap::new(),
                 };
                 if resumed {
-                    let snap = self.stashed.remove(&client_id).expect("checked above");
+                    let snap = self.unstash(&client_id).expect("checked above");
                     session.filters = snap.subscriptions.clone();
                     session.inbound_rec = snap.inbound_rec.iter().copied().collect();
                     session.outbound = snap
@@ -737,13 +759,15 @@ impl Broker {
         // accumulates QoS 1/2 messages matching its plain filters; they sit
         // in the stash as in-flight deliveries and go out when the session
         // resumes. QoS 0 messages are not queued and `$share` filters get
-        // live traffic only (both per spec).
-        if pub_qos != QoS::AtMostOnce && !self.stashed.is_empty() {
+        // live traffic only (both per spec), so only the stashed sessions
+        // holding a plain filter are visited, in client-id order.
+        if pub_qos != QoS::AtMostOnce && !self.stash_subscribed.is_empty() {
             let queued: Vec<(String, QoS)> = self
-                .stashed
+                .stash_subscribed
                 .iter()
-                .filter_map(|(cid, snap)| {
-                    snap.subscriptions
+                .filter_map(|cid| {
+                    self.stashed[cid]
+                        .subscriptions
                         .iter()
                         .filter(|(f, _)| {
                             parse_share(f).is_none() && crate::topic::matches(f, topic)
@@ -926,7 +950,7 @@ impl Broker {
             }
         }
         if !session.clean_session {
-            self.stashed.insert(session.client_id.clone(), snapshot_of(&session));
+            self.stash(snapshot_of(&session));
         }
     }
 }
@@ -1562,6 +1586,75 @@ mod tests {
         publisher.borrow_mut().conn.publish(&mut rig.sim, "keep/t", &b"live"[..], QoS::AtLeastOnce, false);
         rig.sim.run_to_completion();
         assert_eq!(c.borrow().messages().len(), 2);
+    }
+
+    #[test]
+    fn offline_queueing_reaches_only_stashed_sessions_with_plain_filters() {
+        let mut rig = Rig::new();
+        let node = rig.broker_addr.node;
+        // Connected out of client-id order; "a-bare" holds no filter and
+        // "c-shared" only a `$share` one, so neither is queued for.
+        let specs: [(&str, &[(&str, QoS)]); 4] = [
+            ("d-wild", &[("q/#", QoS::AtLeastOnce)]),
+            ("a-bare", &[]),
+            ("c-shared", &[("$share/g/q/t", QoS::AtLeastOnce)]),
+            ("b-exact", &[("q/t", QoS::ExactlyOnce), ("$share/g/q/t", QoS::AtLeastOnce)]),
+        ];
+        let mut clients = Vec::new();
+        for (i, (id, filters)) in specs.iter().enumerate() {
+            let addr = Addr::new(node, 21_200 + i as u16);
+            let c = TestClient::new(addr, rig.broker_addr, id);
+            rig.sim.bind(addr, c.clone());
+            c.borrow_mut().conn.connect_persistent(&mut rig.sim, None);
+            rig.sim.run_to_completion();
+            if !filters.is_empty() {
+                c.borrow_mut().conn.subscribe(&mut rig.sim, filters);
+                rig.sim.run_to_completion();
+            }
+            c.borrow_mut().conn.disconnect(&mut rig.sim);
+            rig.sim.run_to_completion();
+            clients.push((*id, c));
+        }
+        assert_eq!(rig.broker.borrow().stashed_count(), 4);
+        let (publisher, _) = rig.client("pub");
+        for (topic, body) in [("q/t", &b"m1"[..]), ("q/t", &b"m2"[..]), ("q/other", &b"m3"[..])] {
+            publisher.borrow_mut().conn.publish(&mut rig.sim, topic, body, QoS::AtLeastOnce, false);
+            rig.sim.run_to_completion();
+        }
+        // Each publish numbers its queued copies in client-id order.
+        let queued: Vec<(String, Vec<u16>)> = rig
+            .broker
+            .borrow()
+            .export_sessions()
+            .into_iter()
+            .map(|s| (s.client_id, s.outbound.iter().map(|o| o.packet_id).collect()))
+            .collect();
+        let p = queued[1].1[0];
+        let want = [
+            ("a-bare", vec![]),
+            ("b-exact", vec![p, p + 2]),
+            ("c-shared", vec![]),
+            ("d-wild", vec![p + 1, p + 3, p + 4]),
+        ];
+        let want: Vec<(String, Vec<u16>)> = want.into_iter().map(|(c, v)| (c.to_string(), v)).collect();
+        assert_eq!(queued, want);
+        for (_, c) in &clients {
+            c.borrow_mut().conn.connect(&mut rig.sim, None);
+            rig.sim.run_to_completion();
+        }
+        let got = |id: &str| clients.iter().find(|(c, _)| *c == id).unwrap().1.borrow().messages();
+        let msg = |t: &str, b: &[u8]| (t.to_string(), b.to_vec());
+        assert!(got("a-bare").is_empty());
+        assert!(got("c-shared").is_empty());
+        assert_eq!(got("b-exact"), vec![msg("q/t", b"m1"), msg("q/t", b"m2")]);
+        assert_eq!(got("d-wild"), vec![msg("q/t", b"m1"), msg("q/t", b"m2"), msg("q/other", b"m3")]);
+        assert_eq!(rig.broker.borrow().stashed_count(), 0);
+        // Resumed sessions take live traffic again, nothing more queued.
+        publisher.borrow_mut().conn.publish(&mut rig.sim, "q/t", &b"m4"[..], QoS::AtLeastOnce, false);
+        rig.sim.run_to_completion();
+        assert_eq!(got("b-exact").len(), 3);
+        assert_eq!(got("d-wild").len(), 4);
+        assert!(rig.broker.borrow().export_sessions().iter().all(|s| s.outbound.is_empty()));
     }
 
     #[test]

@@ -483,13 +483,19 @@ impl Sim {
     /// several events). Returns `false` when the queue is empty or the
     /// event budget is exhausted.
     pub fn step(&mut self) -> bool {
+        self.step_until(u64::MAX)
+    }
+
+    /// [`Sim::step`], but only for an event due at or before `deadline`
+    /// (ns); returns `false` when there is none.
+    fn step_until(&mut self, deadline: u64) -> bool {
         if self.config.max_events > 0 && self.events_processed >= self.config.max_events {
             return false;
         }
-        let Some((at, _seq, kind)) = self.queue.pop() else {
+        let Some((at_ns, _seq, kind)) = self.queue.pop_until(deadline) else {
             return false;
         };
-        let at = SimTime::from_nanos(at);
+        let at = SimTime::from_nanos(at_ns);
         debug_assert!(at >= self.now, "time must be monotonic");
         self.now = at;
         self.account_event(at);
@@ -514,16 +520,7 @@ impl Sim {
     /// Run until the virtual clock reaches `deadline` (events at exactly
     /// `deadline` are processed) or the queue drains.
     pub fn run_until(&mut self, deadline: SimTime) {
-        loop {
-            match self.queue.peek() {
-                Some((at, _seq)) if at <= deadline.as_nanos() => {
-                    if !self.step() {
-                        break;
-                    }
-                }
-                _ => break,
-            }
-        }
+        while self.step_until(deadline.as_nanos()) {}
         if self.now < deadline {
             self.now = deadline;
         }
@@ -955,5 +952,29 @@ mod tests {
         });
         sim.run_to_completion();
         assert_eq!(*fired.borrow(), Some(SimTime::ZERO + SimDuration::from_millis(10)));
+    }
+
+    #[test]
+    fn call_at_the_deadline_runs_before_the_event_run_until_stopped_at() {
+        // The next event sits two wheel ticks (2^16 ns each) past the
+        // deadline. At 300 ms that event is first filed a level up, so
+        // the refused step cascades it down before stopping; a call
+        // scheduled at the deadline afterwards must still run first.
+        let tick = 1u64 << 16;
+        for t_ns in [5 * tick + 7, 300_000_000] {
+            let (mut sim, _a, _b) = two_node_sim();
+            let order = Rc::new(RefCell::new(Vec::new()));
+            let later = order.clone();
+            let event_at = SimTime::from_nanos(t_ns + 2 * tick);
+            sim.call_at(event_at, move |s| later.borrow_mut().push(("event", s.now())));
+            let t = SimTime::from_nanos(t_ns);
+            sim.run_until(t);
+            assert!(order.borrow().is_empty(), "nothing is due by {t_ns} ns");
+            assert_eq!(sim.now(), t);
+            let first = order.clone();
+            sim.call_at(t, move |s| first.borrow_mut().push(("call", s.now())));
+            sim.run_to_completion();
+            assert_eq!(*order.borrow(), vec![("call", t), ("event", event_at)], "deadline {t_ns} ns");
+        }
     }
 }

@@ -46,7 +46,7 @@
 #![warn(missing_docs)]
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap}; // hash maps for keyed lookup only; snapshots sort by name (`dbox audit` DH0002 convention)
+use std::collections::BTreeMap;
 
 /// Number of power-of-two histogram buckets (values up to 2^31 land in
 /// their log2 bucket; larger ones saturate into the last).
@@ -68,13 +68,19 @@ pub struct HistogramId(u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameId(u32);
 
-#[derive(Default)]
+/// Names in creation order plus a sorted index. A `BTreeMap` rather than a
+/// hash map so that an empty interner is a constant and the thread-local
+/// collector needs no lazy set-up on each access.
 struct Interner {
     names: Vec<String>,
-    index: HashMap<String, u32>,
+    index: BTreeMap<String, u32>,
 }
 
 impl Interner {
+    const fn new() -> Interner {
+        Interner { names: Vec::new(), index: BTreeMap::new() }
+    }
+
     fn intern(&mut self, name: &str) -> u32 {
         if let Some(&id) = self.index.get(name) {
             return id;
@@ -127,7 +133,10 @@ struct Collector {
     histograms: Interner,
     histogram_values: Vec<HistogramCell>,
     frames: Interner,
-    /// Span tree nodes; index 0 is the virtual root.
+    /// The span tree's top-level frames (frame id → node index); the root
+    /// itself is implicit and records nothing.
+    roots: BTreeMap<u32, u32>,
+    /// Span tree nodes below the root.
     nodes: Vec<SpanNode>,
     /// Indices into `nodes` for the currently open span stack.
     stack: Vec<u32>,
@@ -136,16 +145,17 @@ struct Collector {
 }
 
 impl Collector {
-    fn new() -> Collector {
+    const fn new() -> Collector {
         Collector {
-            counters: Interner::default(),
+            counters: Interner::new(),
             counter_values: Vec::new(),
-            gauges: Interner::default(),
+            gauges: Interner::new(),
             gauge_values: Vec::new(),
-            histograms: Interner::default(),
+            histograms: Interner::new(),
             histogram_values: Vec::new(),
-            frames: Interner::default(),
-            nodes: vec![SpanNode { frame: u32::MAX, count: 0, children: BTreeMap::new() }],
+            frames: Interner::new(),
+            roots: BTreeMap::new(),
+            nodes: Vec::new(),
             stack: Vec::new(),
             clock_ns: 0,
         }
@@ -158,48 +168,42 @@ impl Collector {
         self.counter_values.iter_mut().for_each(|v| *v = 0);
         self.gauge_values.iter_mut().for_each(|v| *v = None);
         self.histogram_values.iter_mut().for_each(|v| *v = HistogramCell::default());
-        self.nodes.truncate(1);
-        self.nodes[0].children.clear();
-        self.nodes[0].count = 0;
+        self.roots.clear();
+        self.nodes.clear();
         self.stack.clear();
         self.clock_ns = 0;
     }
 
-    fn enter(&mut self, frame: FrameId) -> u32 {
-        let parent = self.stack.last().copied().unwrap_or(0);
+    fn enter(&mut self, frame: FrameId) {
         let next = self.nodes.len() as u32;
-        let child = *self.nodes[parent as usize].children.entry(frame.0).or_insert(next);
+        let children = match self.stack.last() {
+            Some(&parent) => &mut self.nodes[parent as usize].children,
+            None => &mut self.roots,
+        };
+        let child = *children.entry(frame.0).or_insert(next);
         if child == next {
             self.nodes.push(SpanNode { frame: frame.0, count: 0, children: BTreeMap::new() });
         }
         self.nodes[child as usize].count += 1;
         self.stack.push(child);
-        child
     }
 
     /// Collect folded stacks: `(path, count)` for every node, DFS from the
     /// root. Paths join frame names with `;` (flamegraph folded format).
-    fn folded_into(&self, node: u32, prefix: &str, out: &mut Vec<(String, u64)>) {
-        let n = &self.nodes[node as usize];
-        let path = if node == 0 {
-            String::new()
-        } else if prefix.is_empty() {
-            self.frames.names[n.frame as usize].clone()
-        } else {
-            format!("{prefix};{}", self.frames.names[n.frame as usize])
-        };
-        if node != 0 {
+    fn folded_into(&self, children: &BTreeMap<u32, u32>, prefix: &str, out: &mut Vec<(String, u64)>) {
+        for &child in children.values() {
+            let n = &self.nodes[child as usize];
+            let name = &self.frames.names[n.frame as usize];
+            let path = if prefix.is_empty() { name.clone() } else { format!("{prefix};{name}") };
             out.push((path.clone(), n.count));
-        }
-        for &child in n.children.values() {
-            self.folded_into(child, &path, out);
+            self.folded_into(&n.children, &path, out);
         }
     }
 }
 
 thread_local! {
     static ENABLED: Cell<bool> = const { Cell::new(false) };
-    static COLLECTOR: RefCell<Collector> = RefCell::new(Collector::new());
+    static COLLECTOR: RefCell<Collector> = const { RefCell::new(Collector::new()) };
 }
 
 /// Whether this thread's collector is currently recording.
@@ -316,7 +320,7 @@ pub fn add(counter: CounterId, delta: u64) {
     if !enabled() {
         return;
     }
-    COLLECTOR.with(|c| c.borrow_mut().counter_values[counter.0 as usize] += delta);
+    COLLECTOR.with_borrow_mut(|c| c.counter_values[counter.0 as usize] += delta);
 }
 
 /// Increment a counter by one (no-op while disabled).
@@ -331,7 +335,7 @@ pub fn set(gauge: GaugeId, value: i64) {
     if !enabled() {
         return;
     }
-    COLLECTOR.with(|c| c.borrow_mut().gauge_values[gauge.0 as usize] = Some(value));
+    COLLECTOR.with_borrow_mut(|c| c.gauge_values[gauge.0 as usize] = Some(value));
 }
 
 /// Record `value` into a histogram (no-op while disabled).
@@ -340,7 +344,7 @@ pub fn observe(histogram: HistogramId, value: u64) {
     if !enabled() {
         return;
     }
-    COLLECTOR.with(|c| c.borrow_mut().histogram_values[histogram.0 as usize].record(value));
+    COLLECTOR.with_borrow_mut(|c| c.histogram_values[histogram.0 as usize].record(value));
 }
 
 /// Report the kernel's virtual clock (nanoseconds). Snapshots carry the
@@ -350,10 +354,7 @@ pub fn clock(now_ns: u64) {
     if !enabled() {
         return;
     }
-    COLLECTOR.with(|c| {
-        let mut c = c.borrow_mut();
-        c.clock_ns = c.clock_ns.max(now_ns);
-    });
+    COLLECTOR.with_borrow_mut(|c| c.clock_ns = c.clock_ns.max(now_ns));
 }
 
 /// Open a span under the current one; the returned guard closes it on
@@ -363,7 +364,7 @@ pub fn enter(frame: FrameId) -> SpanGuard {
     if !enabled() {
         return SpanGuard { pushed: false };
     }
-    COLLECTOR.with(|c| c.borrow_mut().enter(frame));
+    COLLECTOR.with_borrow_mut(|c| c.enter(frame));
     SpanGuard { pushed: true }
 }
 
@@ -373,11 +374,10 @@ pub struct SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    #[inline]
     fn drop(&mut self) {
         if self.pushed {
-            COLLECTOR.with(|c| {
-                c.borrow_mut().stack.pop();
-            });
+            COLLECTOR.with_borrow_mut(|c| c.stack.pop());
         }
     }
 }
@@ -461,7 +461,7 @@ pub fn snapshot() -> Snapshot {
             .collect();
         histograms.sort_by(|a, b| a.0.cmp(&b.0));
         let mut spans = Vec::new();
-        c.folded_into(0, "", &mut spans);
+        c.folded_into(&c.roots, "", &mut spans);
         spans.sort();
         Snapshot { clock_ns: c.clock_ns, counters, gauges, histograms, spans }
     })
