@@ -252,7 +252,10 @@ fn best_per_addr(mut subs: Subscribers) -> Subscribers {
 pub struct Broker {
     addr: Addr,
     ep: ReliableEndpoint,
-    sessions: HashMap<Addr, Session, FxBuildHasher>,
+    /// Live sessions by client address. Boxed, so a bucket is 16 bytes
+    /// and the table's slack (up to half of it right after a resize, and
+    /// both tables while it rehashes) costs pointers, not sessions.
+    sessions: HashMap<Addr, Box<Session>, FxBuildHasher>,
     /// client id → live session address, for takeover detection without
     /// scanning the session map.
     client_index: BTreeMap<String, Addr>,
@@ -371,7 +374,7 @@ impl Broker {
             .sessions
             .values()
             .filter(|s| !s.clean_session)
-            .map(snapshot_of)
+            .map(|s| snapshot_of(s))
             .collect();
         out.extend(self.stashed.values().cloned());
         out.sort_by(|a, b| a.client_id.cmp(&b.client_id));
@@ -497,7 +500,7 @@ impl Broker {
                     obs::inc(self.obs.session_resume);
                 }
                 self.client_index.insert(client_id, from);
-                self.sessions.insert(from, session);
+                self.sessions.insert(from, Box::new(session));
                 self.send_packet(sim, from, &Packet::ConnAck { session_present: resumed, code: 0 });
                 if resumed {
                     self.retransmit_session(sim, from);

@@ -1,9 +1,10 @@
 //! In-flight QoS 1/2 state keyed by MQTT packet id.
 
-use std::collections::VecDeque;
+use digibox_net::Inbox;
 
 /// A map from packet id to `V`: one flat deque of `(pid, value)` sorted by
-/// pid, with no node per entry and no allocation while empty.
+/// pid, with no node per entry, no allocation while empty and none while
+/// it holds a single entry, which sits inline.
 ///
 /// Packet ids are allocated in increasing order and handshakes mostly
 /// complete in the order they started, so an insert is a push at the back
@@ -13,13 +14,13 @@ use std::collections::VecDeque;
 /// list the same pids in the same order.
 #[derive(Debug)]
 pub(crate) struct PidMap<V> {
-    entries: VecDeque<(u16, V)>,
+    entries: Inbox<(u16, V)>,
 }
 
 impl<V> PidMap<V> {
     /// An empty map.
     pub(crate) const fn new() -> PidMap<V> {
-        PidMap { entries: VecDeque::new() }
+        PidMap { entries: Inbox::new() }
     }
 
     /// Number of entries.
@@ -34,11 +35,11 @@ impl<V> PidMap<V> {
     /// Insert `value` under `pid`, returning the value it replaced.
     pub(crate) fn insert(&mut self, pid: u16, value: V) -> Option<V> {
         if self.entries.back().is_none_or(|e| e.0 < pid) {
-            self.entries.push_back((pid, value));
+            self.entries.push((pid, value));
             return None;
         }
         match self.find(pid) {
-            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            Ok(i) => self.entries.get_mut(i).map(|e| std::mem::replace(&mut e.1, value)),
             Err(i) => {
                 self.entries.insert(i, (pid, value));
                 None
@@ -49,13 +50,13 @@ impl<V> PidMap<V> {
     /// The value under `pid`, mutably.
     pub(crate) fn get_mut(&mut self, pid: u16) -> Option<&mut V> {
         let i = self.find(pid).ok()?;
-        Some(&mut self.entries[i].1)
+        self.entries.get_mut(i).map(|e| &mut e.1)
     }
 
     /// Remove and return the value under `pid`.
     pub(crate) fn remove(&mut self, pid: u16) -> Option<V> {
         if self.entries.front().is_some_and(|e| e.0 == pid) {
-            return self.entries.pop_front().map(|e| e.1);
+            return self.entries.pop().map(|e| e.1);
         }
         let i = self.find(pid).ok()?;
         self.entries.remove(i).map(|e| e.1)

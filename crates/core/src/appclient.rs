@@ -22,17 +22,10 @@ use digibox_net::{
 };
 
 /// Token space of a REST endpoint (an MQTT session uses space 1).
-const HTTP_TOKEN_SPACE: u16 = 2;
+pub(crate) const HTTP_TOKEN_SPACE: u16 = 2;
 
-/// The REST endpoint in `slot`, made on first use. Its timer counters
-/// start at zero whenever it is made, so it arms the tokens an endpoint
-/// made with its owner would have armed.
-pub(crate) fn rest_endpoint(
-    slot: &mut Option<Box<ReliableEndpoint>>,
-    addr: Addr,
-) -> &mut ReliableEndpoint {
-    slot.get_or_insert_with(|| Box::new(ReliableEndpoint::new(addr).with_space(HTTP_TOKEN_SPACE)))
-}
+/// What a client with no REST request behind it reports as its latencies.
+static NO_LATENCIES: LatencyHistogram = LatencyHistogram::new();
 
 /// Events surfaced to application logic.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,6 +66,20 @@ struct PendingRequest {
     sent_at: SimTime,
 }
 
+/// The REST client side of an [`AppClient`], made in one box by its first
+/// request (or the first datagram from a non-broker peer): an MQTT-only
+/// client never has one. The endpoint's timer counters start at zero
+/// whenever it is made, so it arms the tokens an endpoint made with the
+/// client would have armed.
+struct Rest {
+    http: ReliableEndpoint,
+    /// In-flight REST requests per server, FIFO (responses are ordered by
+    /// the reliable channel).
+    pending: HashMap<Addr, VecDeque<PendingRequest>, FxBuildHasher>,
+    next_request_id: u64,
+    latencies: LatencyHistogram,
+}
+
 /// An application endpoint: REST client + MQTT client with latency
 /// accounting.
 pub struct AppClient {
@@ -82,14 +89,7 @@ pub struct AppClient {
     /// Durable (clean_session = false) MQTT session: survives broker
     /// restarts and redials on `BrokerLost` until the broker answers.
     persistent: bool,
-    /// The REST client side, made by the first request (or the first
-    /// datagram from a non-broker peer): an MQTT-only client never has one.
-    http: Option<Box<ReliableEndpoint>>,
-    /// In-flight REST requests per server, FIFO (responses are ordered by
-    /// the reliable channel).
-    pending: HashMap<Addr, VecDeque<PendingRequest>, FxBuildHasher>,
-    next_request_id: u64,
-    latencies: LatencyHistogram,
+    rest: Option<Box<Rest>>,
     events: Inbox<AppEvent>,
 }
 
@@ -101,10 +101,7 @@ impl AppClient {
             conn: None,
             broker: None,
             persistent: false,
-            http: None,
-            pending: HashMap::default(),
-            next_request_id: 0,
-            latencies: LatencyHistogram::new(),
+            rest: None,
             events: Inbox::default(),
         }))
     }
@@ -148,17 +145,31 @@ impl AppClient {
 
     /// Completed-request latency distribution.
     pub fn latencies(&self) -> &LatencyHistogram {
-        &self.latencies
+        self.rest.as_ref().map_or(&NO_LATENCIES, |r| &r.latencies)
     }
 
     /// Discard accumulated latency samples (benchmark warm-up).
     pub fn reset_latencies(&mut self) {
-        self.latencies = LatencyHistogram::new();
+        if let Some(r) = self.rest.as_mut() {
+            r.latencies = LatencyHistogram::new();
+        }
     }
 
     /// REST requests awaiting a response.
     pub fn in_flight(&self) -> usize {
-        self.pending.values().map(VecDeque::len).sum()
+        self.rest.as_ref().map_or(0, |r| r.pending.values().map(VecDeque::len).sum())
+    }
+
+    /// The REST side, made on first use.
+    fn rest(&mut self) -> &mut Rest {
+        self.rest.get_or_insert_with(|| {
+            Box::new(Rest {
+                http: ReliableEndpoint::new(self.addr).with_space(HTTP_TOKEN_SPACE),
+                pending: HashMap::default(),
+                next_request_id: 0,
+                latencies: LatencyHistogram::new(),
+            })
+        })
     }
 
     /// Issue `GET <path>` against the digi at `server`. Returns a request
@@ -178,13 +189,14 @@ impl AppClient {
 
     /// Issue an arbitrary request.
     pub fn request(&mut self, sim: &mut Sim, server: Addr, req: Request) -> u64 {
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        self.pending
+        let rest = self.rest();
+        let request_id = rest.next_request_id;
+        rest.next_request_id += 1;
+        rest.pending
             .entry(server)
             .or_default()
             .push_back(PendingRequest { request_id, sent_at: sim.now() });
-        rest_endpoint(&mut self.http, self.addr).send(sim, server, req.encode());
+        rest.http.send(sim, server, req.encode());
         request_id
     }
 
@@ -213,31 +225,34 @@ impl AppClient {
     }
 
     fn pump(&mut self, sim: &mut Sim) {
-        while let Some(ev) = self.http.as_mut().and_then(|h| h.poll()) {
-            match ev {
-                TransportEvent::Delivered { peer, payload } => {
-                    let Some(pending) = self.pending.get_mut(&peer).and_then(|q| q.pop_front())
-                    else {
-                        continue; // unsolicited response; drop
-                    };
-                    let latency = sim.now() - pending.sent_at;
-                    self.latencies.record(latency);
-                    match Response::decode(&payload) {
-                        Ok(resp) => self.events.push(AppEvent::Response {
-                            request_id: pending.request_id,
-                            status: resp.status,
-                            body: resp.body,
-                            latency,
-                        }),
-                        Err(_) => self
-                            .events
-                            .push(AppEvent::RequestFailed { request_id: pending.request_id }),
+        if let Some(rest) = self.rest.as_deref_mut() {
+            while let Some(ev) = rest.http.poll() {
+                match ev {
+                    TransportEvent::Delivered { peer, payload } => {
+                        let Some(pending) =
+                            rest.pending.get_mut(&peer).and_then(|q| q.pop_front())
+                        else {
+                            continue; // unsolicited response; drop
+                        };
+                        let latency = sim.now() - pending.sent_at;
+                        rest.latencies.record(latency);
+                        let request_id = pending.request_id;
+                        self.events.push(match Response::decode(&payload) {
+                            Ok(resp) => AppEvent::Response {
+                                request_id,
+                                status: resp.status,
+                                body: resp.body,
+                                latency,
+                            },
+                            Err(_) => AppEvent::RequestFailed { request_id },
+                        });
                     }
-                }
-                TransportEvent::PeerFailed { peer } => {
-                    if let Some(q) = self.pending.remove(&peer) {
-                        for p in q {
-                            self.events.push(AppEvent::RequestFailed { request_id: p.request_id });
+                    TransportEvent::PeerFailed { peer } => {
+                        if let Some(q) = rest.pending.remove(&peer) {
+                            for p in q {
+                                let request_id = p.request_id;
+                                self.events.push(AppEvent::RequestFailed { request_id });
+                            }
                         }
                     }
                 }
@@ -283,14 +298,14 @@ impl Service for AppClient {
                 conn.on_datagram(sim, dg);
             }
         } else {
-            rest_endpoint(&mut self.http, self.addr).on_datagram(sim, dg);
+            self.rest().http.on_datagram(sim, dg);
         }
         self.pump(sim);
     }
 
     fn on_timer(&mut self, sim: &mut Sim, token: TimerToken) {
-        // No HTTP timer is armed before the endpoint exists.
-        let mut handled = self.http.as_mut().is_some_and(|h| h.on_timer(sim, token));
+        // No HTTP timer is armed before the REST side exists.
+        let mut handled = self.rest.as_mut().is_some_and(|r| r.http.on_timer(sim, token));
         if !handled {
             if let Some(conn) = self.conn.as_mut() {
                 handled = conn.on_timer(sim, token);

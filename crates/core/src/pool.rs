@@ -71,10 +71,17 @@ use digibox_net::{
 };
 use digibox_trace::TraceLog;
 
-use crate::appclient::rest_endpoint;
+use crate::appclient::HTTP_TOKEN_SPACE;
 use crate::cell::{DigiCell, Outbox};
 use crate::program::DigiProgram;
 use crate::topics;
+
+/// The REST endpoint in `slot`, made on first use. Its timer counters
+/// start at zero whenever it is made, so it arms the tokens an endpoint
+/// made with its owner would have armed.
+fn rest_endpoint(slot: &mut Option<Box<ReliableEndpoint>>, addr: Addr) -> &mut ReliableEndpoint {
+    slot.get_or_insert_with(|| Box::new(ReliableEndpoint::new(addr).with_space(HTTP_TOKEN_SPACE)))
+}
 
 /// Tag bit for tick-group timers. Like the other tags below it leaves the
 /// reliable-transport bit (1 << 63) clear, so no endpoint claims it. The

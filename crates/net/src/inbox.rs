@@ -1,17 +1,24 @@
-//! [`Inbox`]: the FIFO behind every endpoint's event queue.
+//! [`Inbox`]: the deque behind every per-connection queue.
 //!
-//! An endpoint's events are drained by its owner right after the datagram
-//! or timer that produced them, so a queue almost never holds more than
-//! one. A `VecDeque` would keep a four-slot buffer per connection once
-//! the first event passed through; an `Inbox` keeps that one event inline
-//! and allocates only when a second one is pending at the same time.
+//! A connection's queues are almost always empty or hold one entry: an
+//! endpoint's events are drained by their owner right after the datagram
+//! or timer that produced them, and a sparse session has one frame, one
+//! retransmit timer and one QoS 1/2 handshake in flight at a time. A
+//! `VecDeque` would keep a four-slot buffer per queue once the first
+//! entry passed through; an `Inbox` keeps that one entry inline and
+//! allocates only when a second one is queued at the same time.
 
+use std::cmp::Ordering;
 use std::collections::VecDeque;
+use std::fmt;
 
-/// A FIFO queue that stores its first event inline.
+/// A deque that stores its first element inline.
 ///
-/// Invariant: `first`, when `Some`, is older than every event in
-/// `overflow`; `push` therefore goes inline only when both are empty.
+/// Invariant: `first`, when `Some`, is the front element, ahead of every
+/// element in `overflow`; a push at the back therefore goes inline only
+/// when both are empty. The overflow keeps its capacity when it drains,
+/// so a queue that spills once per message (two timers armed per
+/// message, say) allocates its buffer once, not once per message.
 pub struct Inbox<T> {
     first: Option<T>,
     overflow: VecDeque<T>,
@@ -19,23 +26,143 @@ pub struct Inbox<T> {
 
 impl<T> Default for Inbox<T> {
     fn default() -> Inbox<T> {
-        Inbox { first: None, overflow: VecDeque::new() }
+        Inbox::new()
+    }
+}
+
+impl<T: fmt::Debug> fmt::Debug for Inbox<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
 impl<T> Inbox<T> {
+    /// An empty deque; allocates nothing.
+    pub const fn new() -> Inbox<T> {
+        Inbox { first: None, overflow: VecDeque::new() }
+    }
+
+    /// 1 when the front element is inline, else 0: the offset of index
+    /// `i` in the overflow.
+    fn inline(&self) -> usize {
+        usize::from(self.first.is_some())
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.inline() + self.overflow.len()
+    }
+
+    /// Whether the deque holds no element.
+    pub fn is_empty(&self) -> bool {
+        self.first.is_none() && self.overflow.is_empty()
+    }
+
     /// Append `item` at the back.
     pub fn push(&mut self, item: T) {
-        if self.first.is_none() && self.overflow.is_empty() {
+        if self.is_empty() {
             self.first = Some(item);
         } else {
             self.overflow.push_back(item);
         }
     }
 
-    /// Remove and return the oldest event.
+    /// Remove and return the front element.
     pub fn pop(&mut self) -> Option<T> {
         self.first.take().or_else(|| self.overflow.pop_front())
+    }
+
+    /// The front element.
+    pub fn front(&self) -> Option<&T> {
+        self.first.as_ref().or_else(|| self.overflow.front())
+    }
+
+    /// The back element.
+    pub fn back(&self) -> Option<&T> {
+        self.overflow.back().or(self.first.as_ref())
+    }
+
+    /// The element at index `i` (0 is the front).
+    pub fn get(&self, i: usize) -> Option<&T> {
+        match i.checked_sub(self.inline()) {
+            None => self.first.as_ref(),
+            Some(j) => self.overflow.get(j),
+        }
+    }
+
+    /// The element at index `i`, mutably.
+    pub fn get_mut(&mut self, i: usize) -> Option<&mut T> {
+        match i.checked_sub(self.inline()) {
+            None => self.first.as_mut(),
+            Some(j) => self.overflow.get_mut(j),
+        }
+    }
+
+    /// Insert `item` at index `i`, shifting later elements back.
+    ///
+    /// # Panics
+    /// If `i > len`.
+    pub fn insert(&mut self, i: usize, item: T) {
+        assert!(i <= self.len(), "insertion index {i} out of bounds");
+        if i == 0 {
+            // The new front goes inline; an inline front moves out first.
+            if let Some(old) = self.first.replace(item) {
+                self.overflow.push_front(old);
+            }
+        } else {
+            self.overflow.insert(i - self.inline(), item);
+        }
+    }
+
+    /// Remove and return the element at index `i`.
+    pub fn remove(&mut self, i: usize) -> Option<T> {
+        match i.checked_sub(self.inline()) {
+            None => self.first.take(),
+            Some(j) => self.overflow.remove(j),
+        }
+    }
+
+    /// Drop the first `n` elements (all of them when `n >= len`).
+    pub fn drain_front(&mut self, n: usize) {
+        let n = n.min(self.len());
+        let from_overflow = n - usize::from(n > 0 && self.first.take().is_some());
+        self.overflow.drain(..from_overflow);
+    }
+
+    /// Remove every element, keeping the overflow's capacity.
+    pub fn clear(&mut self) {
+        self.first = None;
+        self.overflow.clear();
+    }
+
+    /// Front-to-back iterator.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.first.iter().chain(self.overflow.iter())
+    }
+
+    /// Front-to-back iterator over mutable references.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.first.iter_mut().chain(self.overflow.iter_mut())
+    }
+
+    /// Binary search of a deque sorted by `f`, as
+    /// [`VecDeque::binary_search_by_key`]: `Ok` with the index of a
+    /// matching element, or `Err` with the index where `key` would be
+    /// inserted to keep the order.
+    pub fn binary_search_by_key<B: Ord>(
+        &self,
+        key: &B,
+        mut f: impl FnMut(&T) -> B,
+    ) -> Result<usize, usize> {
+        let offset = self.inline();
+        if let Some(first) = &self.first {
+            match f(first).cmp(key) {
+                Ordering::Equal => return Ok(0),
+                Ordering::Greater => return Err(0),
+                Ordering::Less => {}
+            }
+        }
+        self.overflow.binary_search_by_key(key, f).map(|i| i + offset).map_err(|i| i + offset)
     }
 }
 
@@ -43,36 +170,140 @@ impl<T> Inbox<T> {
 mod tests {
     use super::*;
     use crate::for_each_seed;
+    use std::cell::RefCell;
+    use std::collections::BTreeSet;
+
+    /// Key spacing of pushed elements: room for ~16 halving inserts
+    /// between two neighbours.
+    const GAP: u64 = 1 << 16;
 
     #[test]
     fn matches_a_vecdeque_over_seeded_interleavings() {
-        // Differential check against the plain deque: bursts of pushes
-        // spill into the overflow, and pops interleave with them, so the
-        // inline event is taken while the overflow still holds later ones.
+        // Differential check against the plain deque. Elements are
+        // `(key, tag)` with keys kept sorted and unique, so every
+        // operation, binary search included, has one right answer; `get_mut`
+        // and `iter_mut` rewrite tags. Bursts of pushes spill into the
+        // overflow, and inserts at the front move the inline element out,
+        // so each operation lands on the inline element and on the
+        // overflow; `hit` records that it did.
+        let hit: RefCell<BTreeSet<String>> = RefCell::default();
         for_each_seed(200, |rng| {
-            let mut inbox = Inbox::default();
-            let mut model = VecDeque::new();
-            let (mut spilled, mut popped_inline_over_overflow) = (false, false);
-            for next in 0..400u32 {
-                if rng.chance(0.55) {
-                    inbox.push(next);
-                    model.push_back(next);
-                } else {
-                    popped_inline_over_overflow |=
-                        inbox.first.is_some() && !inbox.overflow.is_empty();
-                    assert_eq!(inbox.pop(), model.pop_front(), "FIFO order broken");
+            let mut inbox: Inbox<(u64, u32)> = Inbox::default();
+            let mut model: VecDeque<(u64, u32)> = VecDeque::new();
+            let mut hit = hit.borrow_mut();
+            for step in 0..400u32 {
+                let inline = inbox.first.is_some();
+                let spilled = !inbox.overflow.is_empty();
+                let len = model.len();
+                let case = |i: usize| if inline && i == 0 { "inline" } else { "overflow" };
+                match rng.range_u64(0, 100) {
+                    0..=29 => {
+                        let key = model.back().map_or(GAP, |e| e.0 + GAP);
+                        inbox.push((key, step));
+                        model.push_back((key, step));
+                    }
+                    30..=44 => {
+                        if inline && spilled {
+                            hit.insert("pop inline ahead of the overflow".into());
+                        }
+                        assert_eq!(inbox.pop(), model.pop_front(), "FIFO order broken");
+                    }
+                    45..=54 => {
+                        let i = rng.range_usize(0, len + 1);
+                        let lo = if i == 0 { 0 } else { model[i - 1].0 };
+                        let hi = model.get(i).map_or(lo + 2 * GAP, |e| e.0);
+                        if hi - lo >= 2 {
+                            if i == 0 && inline {
+                                hit.insert("insert ahead of the inline element".into());
+                            }
+                            hit.insert("insert".into());
+                            inbox.insert(i, ((lo + hi) / 2, step));
+                            model.insert(i, ((lo + hi) / 2, step));
+                        }
+                    }
+                    55..=64 => {
+                        let i = rng.range_usize(0, len + 2);
+                        if i < len {
+                            hit.insert(["remove", case(i)].join(" "));
+                        }
+                        assert_eq!(inbox.remove(i), model.remove(i), "remove({i})");
+                    }
+                    65..=74 => {
+                        let i = rng.range_usize(0, len + 2);
+                        if i < len {
+                            hit.insert(["get", case(i)].join(" "));
+                        }
+                        assert_eq!(inbox.get(i), model.get(i), "get({i})");
+                        match (inbox.get_mut(i), model.get_mut(i)) {
+                            (Some(got), Some(want)) => {
+                                assert_eq!(got, want, "get_mut({i})");
+                                got.1 = step;
+                                want.1 = step;
+                            }
+                            (got, want) => assert_eq!(got, want, "get_mut({i})"),
+                        }
+                    }
+                    75..=79 => {
+                        let n = rng.range_usize(0, len + 3);
+                        if inline && spilled && n >= 2 && n < len {
+                            hit.insert("drain the inline element and part of the overflow".into());
+                        }
+                        inbox.drain_front(n);
+                        model.drain(..n.min(len));
+                    }
+                    80..=94 => {
+                        // An element's key, or a key between two of them.
+                        let key = match model.get(rng.range_usize(0, len + 1)) {
+                            Some(e) if rng.coin() => e.0,
+                            Some(e) => e.0 - 1,
+                            None => model.back().map_or(0, |e| e.0 + 1),
+                        };
+                        let got = inbox.binary_search_by_key(&key, |e| e.0);
+                        if let Ok(i) = got {
+                            hit.insert(["binary search finds", case(i)].join(" "));
+                        }
+                        assert_eq!(got, model.binary_search_by_key(&key, |e| e.0), "key {key}");
+                    }
+                    95..=97 => {
+                        for (got, want) in inbox.iter_mut().zip(model.iter_mut()) {
+                            got.1 = step;
+                            want.1 = step;
+                        }
+                    }
+                    _ => {
+                        inbox.clear();
+                        model.clear();
+                    }
                 }
-                spilled |= !inbox.overflow.is_empty();
+                if !inbox.overflow.is_empty() {
+                    hit.insert("spill into the overflow".into());
+                }
+                assert_eq!(inbox.len(), model.len());
+                assert_eq!(inbox.is_empty(), model.is_empty());
+                assert_eq!(inbox.front(), model.front());
+                assert_eq!(inbox.back(), model.back());
+                assert!(inbox.iter().eq(model.iter()), "contents differ after step {step}");
             }
             while let Some(want) = model.pop_front() {
                 assert_eq!(inbox.pop(), Some(want), "FIFO order broken while draining");
             }
             assert_eq!(inbox.pop(), None);
-            assert!(spilled, "no interleaving spilled into the overflow");
-            assert!(
-                popped_inline_over_overflow,
-                "no pop took the inline event ahead of the overflow"
-            );
         });
+        let hit = hit.into_inner();
+        for case in [
+            "spill into the overflow",
+            "pop inline ahead of the overflow",
+            "insert ahead of the inline element",
+            "insert",
+            "remove inline",
+            "remove overflow",
+            "get inline",
+            "get overflow",
+            "drain the inline element and part of the overflow",
+            "binary search finds inline",
+            "binary search finds overflow",
+        ] {
+            assert!(hit.contains(case), "no step exercised {case:?}");
+        }
     }
 }

@@ -78,7 +78,7 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     /// An empty histogram.
-    pub fn new() -> LatencyHistogram {
+    pub const fn new() -> LatencyHistogram {
         LatencyHistogram {
             counts: Vec::new(),
             total: 0,

@@ -27,7 +27,7 @@
 //! a peer that was actually talking to the previous incarnation.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque}; // keyed lookup only; `dbox audit` (DH0002) checks every iteration site
+use std::collections::{BTreeMap, HashMap}; // keyed lookup only; `dbox audit` (DH0002) checks every iteration site
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -73,16 +73,19 @@ pub enum TransportEvent {
 
 /// Per-peer connection state.
 ///
-/// Memory follows the live window: the frames in flight sit in a deque
-/// indexed by sequence number, not in a tree that keeps an empty leaf
-/// node at both ends of every connection once its window drains. The
-/// trade-off: this deque, the endpoint's timer deque and the MQTT pid
-/// maps keep the capacity of the deepest window they held. A connection
-/// costs this 88-byte record plus its 8-byte key in `conns`, and, once
-/// it has sent, an `unacked` buffer of at least four 32-byte entries
-/// (a 24-byte `Bytes` and the retry count); a pool stream with 10k
-/// frames in flight keeps 10k entries. DESIGN.md §4 has the measured
-/// bytes per client.
+/// Memory follows the live window: the frames in flight sit in an
+/// [`Inbox`] indexed by sequence number, not in a tree that keeps an
+/// empty leaf node at both ends of every connection once its window
+/// drains, and the oldest frame sits inline, so a connection with at
+/// most one frame in flight owns no buffer. A deeper window spills into
+/// the `Inbox`'s overflow, which keeps the capacity of the deepest
+/// window it held (as do the endpoint's timer deque and the MQTT pid
+/// maps): a pool stream with 10k frames in flight keeps 10k 32-byte
+/// entries (a 24-byte `Bytes` and the retry count). The reorder map
+/// holds a node only while a gap is open. A connection costs this
+/// 120-byte record: inline in the endpoint for its first peer, in a map
+/// bucket beside an 8-byte key for every other one. DESIGN.md §4 has the
+/// measured bytes per client.
 #[derive(Debug, Default)]
 struct ConnState {
     /// This side's connection incarnation, stamped on every outgoing DATA
@@ -94,16 +97,17 @@ struct ConnState {
     next_send_seq: u64,
     /// Sent but not yet cumulatively acked, as (DATA frame, retries):
     /// entry `i` is seq `next_send_seq - unacked.len() + i`, so a send
-    /// pushes at the back and a cumulative ACK pops from the front. An
-    /// RTO re-sends the stored frame as is.
-    unacked: VecDeque<(Bytes, u32)>,
+    /// pushes at the back and a cumulative ACK drains the front. An RTO
+    /// re-sends the stored frame as is.
+    unacked: Inbox<(Bytes, u32)>,
     /// The peer's incarnation the receive state belongs to (0 = none seen
     /// yet). Frames from an older incarnation are ghosts and dropped; a
     /// newer one resets `recv_cursor`/`reorder`.
     peer_inc: u64,
     /// Highest in-order seq delivered from the peer.
     recv_cursor: u64,
-    /// Out-of-order arrivals waiting for the gap to fill.
+    /// Out-of-order arrivals waiting for the gap to fill; empty, and
+    /// holding no node, while no gap is open.
     reorder: BTreeMap<u64, Bytes>,
 }
 
@@ -124,7 +128,56 @@ impl ConnState {
     fn retire_through(&mut self, ack: u64) {
         let Some(below) = ack.checked_sub(self.first_unacked()) else { return };
         let n = usize::try_from(below).map_or(usize::MAX, |b| b.saturating_add(1));
-        self.unacked.drain(..n.min(self.unacked.len()));
+        self.unacked.drain_front(n);
+    }
+}
+
+/// An endpoint's connections, by peer: the first peer's inline (an MQTT
+/// client only ever talks to its broker, so its endpoint needs no map),
+/// every other peer's in a map. A peer's connection is in one of the
+/// two; nothing iterates over them.
+#[derive(Default)]
+struct Conns {
+    first: Option<(Addr, ConnState)>,
+    rest: HashMap<Addr, ConnState, FxBuildHasher>,
+}
+
+impl Conns {
+    /// The connection to `peer`, if there is one.
+    fn get(&self, peer: Addr) -> Option<&ConnState> {
+        match &self.first {
+            Some((a, c)) if *a == peer => Some(c),
+            _ => self.rest.get(&peer),
+        }
+    }
+
+    /// The connection to `peer`, mutably.
+    fn get_mut(&mut self, peer: Addr) -> Option<&mut ConnState> {
+        match &mut self.first {
+            Some((a, c)) if *a == peer => Some(c),
+            _ => self.rest.get_mut(&peer),
+        }
+    }
+
+    /// The connection to `peer`, made empty if there is none: inline
+    /// while the inline place is free.
+    fn entry(&mut self, peer: Addr) -> &mut ConnState {
+        if self.first.is_none() && !self.rest.contains_key(&peer) {
+            self.first = Some((peer, ConnState::default()));
+        }
+        match &mut self.first {
+            Some((a, c)) if *a == peer => c,
+            _ => self.rest.entry(peer).or_default(),
+        }
+    }
+
+    /// Drop the connection to `peer`.
+    fn remove(&mut self, peer: Addr) {
+        if self.first.as_ref().is_some_and(|(a, _)| *a == peer) {
+            self.first = None;
+        } else {
+            self.rest.remove(&peer);
+        }
     }
 }
 
@@ -134,7 +187,7 @@ pub struct ReliableEndpoint {
     space: u16,
     rto: SimDuration,
     max_retries: u32,
-    conns: HashMap<Addr, ConnState, FxBuildHasher>,
+    conns: Conns,
     /// Retransmit timers by token counter: entry `i` belongs to counter
     /// `first_token + i` (token `RELIABLE_TIMER_BIT | space << 48 |
     /// counter`) and is `Some((peer, seq))` while armed; the next counter
@@ -147,7 +200,7 @@ pub struct ReliableEndpoint {
     /// Counters restart at zero in every endpoint, so a token still
     /// pending from an earlier endpoint at the same address resolves
     /// whatever this one armed under the same counter, if anything.
-    timers: VecDeque<Option<(Addr, u64)>>,
+    timers: Inbox<Option<(Addr, u64)>>,
     first_token: u64,
     /// `Some` entries in `timers`.
     armed: usize,
@@ -172,8 +225,8 @@ impl ReliableEndpoint {
             space: 0,
             rto,
             max_retries,
-            conns: HashMap::default(),
-            timers: VecDeque::new(),
+            conns: Conns::default(),
+            timers: Inbox::new(),
             first_token: 0,
             armed: 0,
             events: Inbox::default(),
@@ -197,7 +250,7 @@ impl ReliableEndpoint {
 
     /// Number of messages sent to `peer` that are not yet acknowledged.
     pub fn in_flight(&self, peer: Addr) -> usize {
-        self.conns.get(&peer).map_or(0, |c| c.unacked.len())
+        self.conns.get(peer).map_or(0, |c| c.unacked.len())
     }
 
     /// Total DATA frames retransmitted after an RTO expiry.
@@ -240,7 +293,7 @@ impl ReliableEndpoint {
         len: usize,
         write: impl FnOnce(&mut BytesMut),
     ) -> Bytes {
-        let conn = self.conns.entry(peer).or_default();
+        let conn = self.conns.entry(peer);
         if conn.send_inc == 0 {
             // First send on this connection record: stamp its incarnation
             // from the sim clock (+1 keeps it non-zero at t=0). A record
@@ -255,7 +308,7 @@ impl ReliableEndpoint {
         debug_assert_eq!(b.len(), FRAME_HEADER + len, "send_with wrote other than `len` bytes");
         let frame = b.freeze();
         let message = frame.slice(FRAME_HEADER..);
-        conn.unacked.push_back((frame.clone(), 0));
+        conn.unacked.push((frame.clone(), 0));
         sim.send(self.local, peer, frame);
         self.arm_timer(sim, peer, seq, 0);
         message
@@ -264,7 +317,7 @@ impl ReliableEndpoint {
     fn arm_timer(&mut self, sim: &mut Sim, peer: Addr, seq: u64, retries: u32) {
         let counter = self.first_token + self.timers.len() as u64;
         let token = RELIABLE_TIMER_BIT | ((self.space as u64) << TOKEN_SPACE_SHIFT) | counter;
-        self.timers.push_back(Some((peer, seq)));
+        self.timers.push(Some((peer, seq)));
         self.armed += 1;
         // Exponential backoff, capped at 8× the base RTO.
         let mult = 1u64 << retries.min(3);
@@ -305,7 +358,7 @@ impl ReliableEndpoint {
     }
 
     fn handle_data(&mut self, sim: &mut Sim, peer: Addr, inc: u64, seq: u64, payload: Bytes) {
-        let conn = self.conns.entry(peer).or_default();
+        let conn = self.conns.entry(peer);
         if inc < conn.peer_inc {
             // Ghost frame from a connection the peer has since reset
             // (e.g. a retransmit racing the reset). Ignoring it — no
@@ -339,6 +392,11 @@ impl ReliableEndpoint {
                 conn.recv_cursor += 1;
                 self.events.push(TransportEvent::Delivered { peer, payload: p });
             }
+            if conn.reorder.is_empty() {
+                // The gap filled. A map emptied by `remove` keeps its root
+                // leaf (368 bytes); `clear` frees it.
+                conn.reorder.clear();
+            }
         }
         let cursor = conn.recv_cursor;
         // Cumulative ack: highest in-order seq received (cursor - 1); also
@@ -350,7 +408,7 @@ impl ReliableEndpoint {
     }
 
     fn handle_ack(&mut self, peer: Addr, inc: u64, ack: u64) {
-        if let Some(conn) = self.conns.get_mut(&peer) {
+        if let Some(conn) = self.conns.get_mut(peer) {
             // Only the current incarnation's acks count; a stale one could
             // otherwise "acknowledge" fresh frames the peer never saw.
             if conn.send_inc == inc {
@@ -373,7 +431,7 @@ impl ReliableEndpoint {
         let Some((peer, seq)) = self.take_timer(token & ((1 << TOKEN_SPACE_SHIFT) - 1)) else {
             return true; // ours, but already satisfied
         };
-        let Some(conn) = self.conns.get_mut(&peer) else {
+        let Some(conn) = self.conns.get_mut(peer) else {
             return true;
         };
         let Some((frame, retries)) = conn.unacked_mut(seq) else {
@@ -382,7 +440,7 @@ impl ReliableEndpoint {
         *retries += 1;
         if *retries > self.max_retries {
             // Give up: reset the connection and tell the owner.
-            self.conns.remove(&peer);
+            self.conns.remove(peer);
             for t in self.timers.iter_mut().filter(|t| t.is_some_and(|(p, _)| p == peer)) {
                 *t = None;
                 self.armed -= 1;
@@ -411,7 +469,7 @@ impl ReliableEndpoint {
     /// Drop the disarmed timers at the front.
     fn trim_timers(&mut self) {
         while let Some(None) = self.timers.front() {
-            self.timers.pop_front();
+            self.timers.pop();
             self.first_token += 1;
         }
     }
@@ -520,8 +578,11 @@ mod tests {
         assert_eq!(size_of::<Bytes>(), 24);
         assert_eq!(size_of::<Datagram>(), 40);
         assert_eq!(size_of::<TransportEvent>(), 32);
-        assert_eq!(size_of::<ConnState>(), 88);
+        assert_eq!(size_of::<ConnState>(), 120);
         assert_eq!(size_of::<(Bytes, u32)>(), 32, "an `unacked` entry");
+        // An `Inbox` is its inline element (whose `None` takes no tag of
+        // its own) and an empty `VecDeque` header.
+        assert_eq!(size_of::<Inbox<(Bytes, u32)>>(), 32 + 32, "`unacked`");
         assert_eq!(size_of::<FxBuildHasher>(), 0, "a seedless map stores no hasher state");
     }
 
