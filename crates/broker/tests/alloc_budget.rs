@@ -22,9 +22,23 @@
 //! - the broker's `$SYS` refresh: five values, each formatted into a
 //!   `String`, every 64 publishes (0.08 per message).
 //!
-//! The memory rig connects 1,000 clients one after another, has each send
-//! one QoS 1 publish, drains everything and divides the bytes left live,
-//! on the client and the broker side together, by the sessions.
+//! A QoS 2 message costs 0.37 more (6.45), in the kernel's timer wheel.
+//! Its exchange sends eight DATA frames within a tick or two, so the
+//! wheel slot their retransmit timers land in passes four entries: the
+//! slot's buffer grows from four entries to eight (a reallocation in
+//! `EventWheel::file`, from `ReliableEndpoint::arm_timer`), and is freed
+//! when it drains, so the next slot to fill takes a fresh four-entry
+//! buffer. Over the rig's 2,200 QoS 2 messages that is 414 reallocations
+//! and 411 fresh buffers, against 7 and 10 for QoS 1. Keeping drained
+//! buffers of up to eight entries reads 6.09, but raises `chaos_qos2`'s
+//! peak RSS by 4–6 %.
+//!
+//! The memory rigs measure the bytes left live, on the client and the
+//! broker side together, per session. The idle rig connects 1,000
+//! clients one after another, has each send one QoS 1 publish and drains
+//! everything. The partition rig black-holes 200 such clients' link to
+//! the broker while each publishes 8, 32 or 128 more, heals it, drains,
+//! and counts what the backlog left behind.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
@@ -33,7 +47,9 @@ use std::rc::Rc;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use digibox_broker::{Broker, ClientEvent, MqttConn, QoS};
 use digibox_net::transport::{ReliableEndpoint, TransportEvent};
-use digibox_net::{Addr, Datagram, Service, Sim, SimConfig, TimerToken, Topology};
+use digibox_net::{
+    Addr, Datagram, LinkSpec, NodeId, Service, Sim, SimConfig, SimDuration, TimerToken, Topology,
+};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -132,6 +148,17 @@ impl Service for Client {
     }
 }
 
+/// A broker on node 0 of a two-node cluster: the sim, the broker's
+/// address and the nodes.
+fn broker_cluster() -> (Sim, Addr, Vec<NodeId>) {
+    let topo = Topology::ec2_cluster(2);
+    let nodes = topo.node_ids();
+    let mut sim = Sim::new(topo, SimConfig::default());
+    let broker_addr = Addr::new(nodes[0], 1883);
+    sim.bind(broker_addr, Broker::new(broker_addr));
+    (sim, broker_addr, nodes)
+}
+
 fn client(sim: &mut Sim, addr: Addr, broker: Addr, id: &str) -> Rc<RefCell<Client>> {
     let c = Rc::new(RefCell::new(Client {
         conn: MqttConn::new(addr, broker, id),
@@ -152,11 +179,7 @@ const READING: &str = r#"{"sensor":"s1","temp":21.5}"#;
 /// Mean blocks allocated per message over 2,000 publishes at `qos`, each
 /// publishing what `payload` returns.
 fn allocs_per_message<P: AsRef<[u8]>>(qos: QoS, payload: impl Fn() -> P) -> f64 {
-    let topo = Topology::ec2_cluster(2);
-    let nodes = topo.node_ids();
-    let mut sim = Sim::new(topo, SimConfig::default());
-    let broker_addr = Addr::new(nodes[0], 1883);
-    sim.bind(broker_addr, Broker::new(broker_addr));
+    let (mut sim, broker_addr, nodes) = broker_cluster();
     let sub = client(&mut sim, Addr::new(nodes[0], 10_000), broker_addr, "sub");
     let publisher = client(&mut sim, Addr::new(nodes[1], 10_000), broker_addr, "pub");
     sub.borrow_mut().conn.subscribe(&mut sim, &[("site/+/temp", qos)]);
@@ -246,27 +269,35 @@ fn a_21_byte_buffer_allocates_nothing() {
 /// together, after `n` clients connected one after another, each sent one
 /// QoS 1 publish, and everything drained.
 fn bytes_per_idle_session(n: u16) -> f64 {
-    let topo = Topology::ec2_cluster(2);
-    let nodes = topo.node_ids();
-    let mut sim = Sim::new(topo, SimConfig::default());
-    let broker_addr = Addr::new(nodes[0], 1883);
-    sim.bind(broker_addr, Broker::new(broker_addr));
+    let (mut sim, broker_addr, nodes) = broker_cluster();
     let mut clients = Vec::with_capacity(usize::from(n));
     let before = live_bytes();
-    for i in 0..n {
-        let addr = Addr::new(nodes[1], 10_000 + i);
-        clients.push(client(&mut sim, addr, broker_addr, &format!("sensor-{i:04}")));
-    }
-    for c in &clients {
-        c.borrow_mut().conn.publish(&mut sim, "site/s1/temp", READING, QoS::AtLeastOnce, false);
-        sim.run_to_completion();
-    }
+    connect_sensors(&mut sim, broker_addr, nodes[1], n, &mut clients);
     let per_session = (live_bytes() - before) as f64 / f64::from(n);
     for c in &clients {
         assert_eq!(c.borrow().completed, 1, "every publish acknowledged");
         assert_eq!(c.borrow().conn.unacked_publishes(), 0);
     }
     per_session
+}
+
+/// Connect `n` clients on `node` one after another into `clients` (made
+/// by the caller, so a measurement around this call leaves the `Vec`
+/// out), then have each send one QoS 1 publish and run it to completion.
+fn connect_sensors(
+    sim: &mut Sim,
+    broker: Addr,
+    node: NodeId,
+    n: u16,
+    clients: &mut Vec<Rc<RefCell<Client>>>,
+) {
+    for i in 0..n {
+        clients.push(client(sim, Addr::new(node, 10_000 + i), broker, &format!("sensor-{i:04}")));
+    }
+    for c in clients.iter() {
+        c.borrow_mut().conn.publish(sim, "site/s1/temp", READING, QoS::AtLeastOnce, false);
+        sim.run_to_completion();
+    }
 }
 
 #[test]
@@ -279,6 +310,61 @@ fn an_idle_session_stays_within_its_memory_budget() {
     // per queue, a hash map per client endpoint and sessions inside the
     // table's buckets, this rig read 2,114 bytes.
     assert!(bytes <= 1_340.0, "an idle session costs {bytes:.0} heap bytes (budget 1,340)");
+}
+
+/// Mean heap bytes per session, client and broker side together, that a
+/// healed partition leaves live: 200 clients set up as for
+/// [`bytes_per_idle_session`], node 1's link to the broker's node 0
+/// black-holes, every client publishes `depth` QoS 1 messages into it,
+/// and after 400 ms the link is restored and everything runs to
+/// completion. The reading is the live bytes then, less those before the
+/// partition.
+fn bytes_kept_after_a_partition(depth: u32) -> f64 {
+    const CLIENTS: u16 = 200;
+    let (mut sim, broker_addr, nodes) = broker_cluster();
+    let mut clients = Vec::with_capacity(usize::from(CLIENTS));
+    connect_sensors(&mut sim, broker_addr, nodes[1], CLIENTS, &mut clients);
+    let before = live_bytes();
+
+    let links = sim.topology().save_links();
+    sim.topology_mut().set_link(nodes[1], nodes[0], LinkSpec::blackhole());
+    for c in &clients {
+        for _ in 0..depth {
+            c.borrow_mut().conn.publish(&mut sim, "site/s1/temp", READING, QoS::AtLeastOnce, false);
+        }
+    }
+    sim.run_for(SimDuration::from_millis(400));
+    let stuck: usize = clients.iter().map(|c| c.borrow().conn.unacked_publishes()).sum();
+    assert_eq!(stuck, usize::from(CLIENTS) * depth as usize, "every publish waits for the heal");
+    sim.topology_mut().restore_links(links);
+    sim.run_to_completion();
+
+    let per_session = (live_bytes() - before) as f64 / f64::from(CLIENTS);
+    for c in &clients {
+        assert_eq!(c.borrow().completed, u64::from(depth) + 1, "every publish acknowledged");
+        assert_eq!(c.borrow().conn.unacked_publishes(), 0);
+    }
+    per_session
+}
+
+#[test]
+fn a_healed_partition_leaves_sessions_no_heavier_the_deeper_it_was() {
+    let kept: Vec<(u32, f64)> = [8, 32, 128].map(|k| (k, bytes_kept_after_a_partition(k))).into();
+    for &(k, bytes) in &kept {
+        eprintln!("{bytes:.0} heap bytes per session kept after a partition {k} publishes deep");
+    }
+    // What stays, ~610 bytes, is four client-side queues' first four-slot
+    // buffers, the floor a queue drained one entry at a time shrinks to:
+    // the `MqttConn`'s event queue (4 × 56 B) and pid map (4 × 40 B), and
+    // its endpoint's event queue (4 × 32 B) and timer deque (4 × 24 B).
+    // At depth 8 some `unacked` deques also end at the floor. Queues that
+    // kept the capacity of their deepest window read 1,678, 7,066 and
+    // 28,543 bytes here.
+    for &(k, bytes) in &kept {
+        assert!(bytes <= 700.0, "depth {k}: {bytes:.0} heap bytes per session kept (budget 700)");
+    }
+    let (shallow, deep) = (kept[0].1, kept[2].1);
+    assert!(deep <= shallow, "128 deep kept {deep:.0} bytes per session, 8 deep {shallow:.0}");
 }
 
 /// A hand-made DATA frame of incarnation 1 whose one-byte payload is its

@@ -7,18 +7,36 @@
 //! `VecDeque` would keep a four-slot buffer per queue once the first
 //! entry passed through; an `Inbox` keeps that one entry inline and
 //! allocates only when a second one is queued at the same time.
+//!
+//! A fault makes queues deep for a while: during a partition every
+//! session's unacked frames, retransmit timers and in-flight handshakes
+//! pile up, and they drain when it heals. The overflow's capacity
+//! therefore follows its live depth. An overflow that drains after
+//! growing past four slots is freed, and one that is at most a quarter
+//! full shrinks to twice its length, never below four slots. Each shrink
+//! moves at most a quarter of the elements the buffer has room for, and
+//! after it the length has to halve again, or double, before the next
+//! reallocation, so the cost stays amortized O(1). Four slots is the
+//! buffer a first spill allocates: a queue that spills by a few entries
+//! once per message (the broker's timer deque holds about two timers per
+//! message) keeps it and does not allocate per message.
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::fmt;
 
+/// Capacity of the overflow's first buffer, the size a `VecDeque` of
+/// small elements starts at, and the least it shrinks to while it holds
+/// an element.
+const MIN_OVERFLOW: usize = 4;
+
 /// A deque that stores its first element inline.
 ///
 /// Invariant: `first`, when `Some`, is the front element, ahead of every
 /// element in `overflow`; a push at the back therefore goes inline only
-/// when both are empty. The overflow keeps its capacity when it drains,
-/// so a queue that spills once per message (two timers armed per
-/// message, say) allocates its buffer once, not once per message.
+/// when both are empty. The overflow's capacity is at most four slots
+/// or under four times its length, so an empty overflow holds no more
+/// than a first buffer (see the module docs).
 pub struct Inbox<T> {
     first: Option<T>,
     overflow: VecDeque<T>,
@@ -69,7 +87,12 @@ impl<T> Inbox<T> {
 
     /// Remove and return the front element.
     pub fn pop(&mut self) -> Option<T> {
-        self.first.take().or_else(|| self.overflow.pop_front())
+        if let Some(item) = self.first.take() {
+            return Some(item);
+        }
+        let item = self.overflow.pop_front()?;
+        self.fit();
+        Some(item)
     }
 
     /// The front element.
@@ -118,7 +141,11 @@ impl<T> Inbox<T> {
     pub fn remove(&mut self, i: usize) -> Option<T> {
         match i.checked_sub(self.inline()) {
             None => self.first.take(),
-            Some(j) => self.overflow.remove(j),
+            Some(j) => {
+                let item = self.overflow.remove(j)?;
+                self.fit();
+                Some(item)
+            }
         }
     }
 
@@ -127,12 +154,30 @@ impl<T> Inbox<T> {
         let n = n.min(self.len());
         let from_overflow = n - usize::from(n > 0 && self.first.take().is_some());
         self.overflow.drain(..from_overflow);
+        self.fit();
     }
 
-    /// Remove every element, keeping the overflow's capacity.
+    /// Remove every element.
     pub fn clear(&mut self) {
         self.first = None;
         self.overflow.clear();
+        self.fit();
+    }
+
+    /// Give back overflow capacity the live depth no longer needs, after
+    /// the overflow lost elements: free a drained buffer that grew past
+    /// [`MIN_OVERFLOW`] slots, and shrink one that is at most a quarter
+    /// full to twice its length (never below [`MIN_OVERFLOW`]).
+    fn fit(&mut self) {
+        let (len, cap) = (self.overflow.len(), self.overflow.capacity());
+        if cap <= MIN_OVERFLOW || len > cap / 4 {
+            return;
+        }
+        if len == 0 {
+            self.overflow = VecDeque::new();
+        } else {
+            self.overflow.shrink_to((2 * len).max(MIN_OVERFLOW));
+        }
     }
 
     /// Front-to-back iterator.
@@ -177,6 +222,13 @@ mod tests {
     /// between two neighbours.
     const GAP: u64 = 1 << 16;
 
+    /// The capacity bound: an overflow holds at most four times its
+    /// length, or its first buffer's four slots.
+    fn assert_fits<T>(inbox: &Inbox<T>, when: &str) {
+        let (cap, len) = (inbox.overflow.capacity(), inbox.overflow.len());
+        assert!(cap <= MIN_OVERFLOW || cap < 4 * len, "{len} elements hold {cap} slots {when}");
+    }
+
     #[test]
     fn matches_a_vecdeque_over_seeded_interleavings() {
         // Differential check against the plain deque. Elements are
@@ -185,7 +237,10 @@ mod tests {
         // and `iter_mut` rewrite tags. Bursts of pushes spill into the
         // overflow, and inserts at the front move the inline element out,
         // so each operation lands on the inline element and on the
-        // overflow; `hit` records that it did.
+        // overflow; `hit` records that it did. After every operation the
+        // overflow's capacity must be within the bound of
+        // [`assert_fits`], and `hit` records that it shrank, was freed
+        // and kept its first buffer.
         let hit: RefCell<BTreeSet<String>> = RefCell::default();
         for_each_seed(200, |rng| {
             let mut inbox: Inbox<(u64, u32)> = Inbox::default();
@@ -194,6 +249,7 @@ mod tests {
             for step in 0..400u32 {
                 let inline = inbox.first.is_some();
                 let spilled = !inbox.overflow.is_empty();
+                let cap = inbox.overflow.capacity();
                 let len = model.len();
                 let case = |i: usize| if inline && i == 0 { "inline" } else { "overflow" };
                 match rng.range_u64(0, 100) {
@@ -278,6 +334,15 @@ mod tests {
                 if !inbox.overflow.is_empty() {
                     hit.insert("spill into the overflow".into());
                 }
+                assert_fits(&inbox, &format!("after step {step}"));
+                match inbox.overflow.capacity() {
+                    0 if cap > 0 => hit.insert("free a drained overflow".into()),
+                    c if c < cap => hit.insert("shrink a quarter-full overflow".into()),
+                    MIN_OVERFLOW if spilled && inbox.overflow.is_empty() => {
+                        hit.insert("keep a drained first buffer".into())
+                    }
+                    _ => false,
+                };
                 assert_eq!(inbox.len(), model.len());
                 assert_eq!(inbox.is_empty(), model.is_empty());
                 assert_eq!(inbox.front(), model.front());
@@ -286,6 +351,7 @@ mod tests {
             }
             while let Some(want) = model.pop_front() {
                 assert_eq!(inbox.pop(), Some(want), "FIFO order broken while draining");
+                assert_fits(&inbox, "while draining");
             }
             assert_eq!(inbox.pop(), None);
         });
@@ -302,8 +368,44 @@ mod tests {
             "drain the inline element and part of the overflow",
             "binary search finds inline",
             "binary search finds overflow",
+            "shrink a quarter-full overflow",
+            "free a drained overflow",
+            "keep a drained first buffer",
         ] {
             assert!(hit.contains(case), "no step exercised {case:?}");
         }
+    }
+
+    #[test]
+    fn a_first_spill_keeps_its_buffer_and_a_deeper_one_gives_it_back() {
+        let mut inbox = Inbox::new();
+        // Three queued: one inline, two in a first four-slot buffer, which
+        // stays when they drain, so spilling once per message allocates
+        // once.
+        for round in 0..3 {
+            (0..3).for_each(|i| inbox.push(i));
+            assert_eq!(inbox.overflow.capacity(), MIN_OVERFLOW, "round {round}");
+            while inbox.pop().is_some() {}
+            assert_eq!(inbox.overflow.capacity(), MIN_OVERFLOW, "round {round}");
+        }
+        // A deep window shrinks as it drains one pop at a time and ends
+        // in the four-slot floor.
+        (0..129).for_each(|i| inbox.push(i));
+        assert_eq!(inbox.overflow.capacity(), 128);
+        let mut caps = vec![128];
+        while inbox.pop().is_some() {
+            if caps.last() != Some(&inbox.overflow.capacity()) {
+                caps.push(inbox.overflow.capacity());
+            }
+        }
+        assert_eq!(caps, [128, 64, 32, 16, 8, 4]);
+        // Drained at once past the floor, as a cumulative ACK drains
+        // `unacked`, the buffer is freed.
+        (0..129).for_each(|i| inbox.push(i));
+        inbox.drain_front(129);
+        assert_eq!(inbox.overflow.capacity(), 0);
+        (0..9).for_each(|i| inbox.push(i));
+        inbox.clear();
+        assert_eq!(inbox.overflow.capacity(), 0);
     }
 }

@@ -78,14 +78,15 @@ pub enum TransportEvent {
 /// empty leaf node at both ends of every connection once its window
 /// drains, and the oldest frame sits inline, so a connection with at
 /// most one frame in flight owns no buffer. A deeper window spills into
-/// the `Inbox`'s overflow, which keeps the capacity of the deepest
-/// window it held (as do the endpoint's timer deque and the MQTT pid
-/// maps): a pool stream with 10k frames in flight keeps 10k 32-byte
-/// entries (a 24-byte `Bytes` and the retry count). The reorder map
-/// holds a node only while a gap is open. A connection costs this
-/// 120-byte record: inline in the endpoint for its first peer, in a map
-/// bucket beside an 8-byte key for every other one. DESIGN.md §4 has the
-/// measured bytes per client.
+/// the `Inbox`'s overflow, whose capacity follows the window (as do the
+/// endpoint's timer deque and the MQTT pid maps): a cumulative ACK that
+/// retires the whole window frees a buffer grown past four slots, and
+/// one that leaves it at most a quarter full shrinks it, so the 32-byte
+/// entries (a 24-byte `Bytes` and the retry count) a partition piled up
+/// do not outlive the heal. The reorder map holds a node only while a
+/// gap is open. A connection costs this 120-byte record: inline in the
+/// endpoint for its first peer, in a map bucket beside an 8-byte key for
+/// every other one. DESIGN.md §4 has the measured bytes per client.
 #[derive(Debug, Default)]
 struct ConnState {
     /// This side's connection incarnation, stamped on every outgoing DATA
