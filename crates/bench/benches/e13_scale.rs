@@ -8,20 +8,26 @@
 //! allocator's own layout (free lists, fragmentation, arenas) and the
 //! binary; `heap_peak` is the live state alone.
 //!
-//! Rows are positional `pooled:N` / `per-digi:N` arguments, run in order;
-//! the default is `per-digi:10000 pooled:10000 pooled:100000`. The
-//! million-digi row is
+//! Rows are positional `pooled:N` / `per-digi:N` / `pooled-fail:N`
+//! arguments, run in order; the default is `per-digi:10000 pooled:10000
+//! pooled:100000`. The million-digi row is
 //! `cargo bench -p digibox-bench --bench e13_scale -- pooled:1000000`.
 //! VmHWM and `heap_peak` are peaks of the whole process so far, so a
 //! per-row peak needs one row per invocation.
 //!
-//! The gate: every window dispatches kernel events. Wall-clock numbers
-//! are reported, never asserted.
+//! `pooled-fail:N` times a node failure under the pooled scene (metrics
+//! on): after the warm-up, one `checkpoint_all`, `fail_node` on the
+//! first pool's node, a 3 s window holding that pool's restart from its
+//! checkpoints and a plain 3 s window.
+//!
+//! The gates: every window dispatches kernel events; after a failure
+//! all N digis run again and the failed pool's digis sit on another
+//! node. Wall-clock numbers are reported, never asserted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-use digibox_bench::{report, scale_per_digi, scale_pooled};
+use digibox_bench::{report, scale_per_digi, scale_pooled, scale_pooled_fail};
 
 /// Heap bytes requested and not yet freed, and the most there ever were.
 /// Relaxed atomics: the rows run on one thread, so the counters only
@@ -92,24 +98,36 @@ fn main() {
         args.iter().map(String::as_str).collect()
     };
     for row in rows {
-        let bad_row = format!("bad row {row:?}: want pooled:N or per-digi:N");
+        let bad_row = format!("bad row {row:?}: want pooled:N, per-digi:N or pooled-fail:N");
         let (mode, digis) = row.split_once(':').expect(&bad_row);
         let digis: usize = digis.parse().expect(&bad_row);
-        let run = match mode {
-            "pooled" => scale_pooled(digis, true),
-            "per-digi" => scale_per_digi(digis, true),
+        let times = match mode {
+            "pooled" | "per-digi" => {
+                let run =
+                    if mode == "pooled" { scale_pooled(digis, true) } else { scale_per_digi(digis, true) };
+                assert!(run.window_events > 0, "{row}: the window dispatched no kernel events");
+                format!(
+                    "setup={:.2}s window={:.2}s kernel_events={}",
+                    run.setup_s, run.window_s, run.window_events
+                )
+            }
+            "pooled-fail" => {
+                let run = scale_pooled_fail(digis);
+                assert_eq!(run.digis_after, digis, "{row}: digis lost to the node failure");
+                assert!(run.moved, "{row}: the failed pool did not move off its node");
+                format!(
+                    "setup={:.2}s checkpoint={:.3}s fail_node={:.3}s restart_window={:.2}s \
+                     plain_window={:.2}s",
+                    run.setup_s, run.checkpoint_s, run.fail_s, run.restart_window_s, run.plain_window_s
+                )
+            }
             _ => panic!("{bad_row}"),
         };
-        assert!(run.window_events > 0, "{row}: the window dispatched no kernel events");
         let vm_hwm = vm_hwm_mib().map_or_else(|| "n/a".to_string(), |m| format!("{m:.1} MiB"));
         let heap_peak = PEAK.load(Relaxed) as f64 / (1024.0 * 1024.0);
         report(
             "E13 scale",
-            &format!(
-                "{mode:<8} digis={digis:<7} setup={:.2}s window={:.2}s kernel_events={} \
-                 VmHWM={vm_hwm} heap_peak={heap_peak:.1} MiB",
-                run.setup_s, run.window_s, run.window_events
-            ),
+            &format!("{mode:<8} digis={digis:<7} {times} VmHWM={vm_hwm} heap_peak={heap_peak:.1} MiB"),
         );
     }
 }

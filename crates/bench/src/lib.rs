@@ -104,14 +104,7 @@ const PER_POOL: usize = 10_000;
 /// (4000), so the cluster has one node per pool plus two for the broker
 /// and control plane.
 pub fn scale_pooled(digis: usize, metrics: bool) -> ScaleRun {
-    let nodes = (digis.div_ceil(PER_POOL) + 2) as u32;
-    scale_run(nodes, metrics, |tb| {
-        for start in (0..digis).step_by(PER_POOL) {
-            let names: Vec<String> =
-                (start..(start + PER_POOL).min(digis)).map(|i| format!("S{i}")).collect();
-            tb.run_pool("Occupancy", &names, BTreeMap::new(), false).expect("pool runs");
-        }
-    })
+    scale_run(pooled_nodes(digis), metrics, |tb| start_pools(tb, digis))
 }
 
 /// E13's baseline: the same mocks with one host per digi (a one-cell
@@ -126,10 +119,24 @@ pub fn scale_per_digi(digis: usize, metrics: bool) -> ScaleRun {
     })
 }
 
+/// Nodes for [`scale_pooled`]'s cluster: one per pool plus two.
+fn pooled_nodes(digis: usize) -> u32 {
+    (digis.div_ceil(PER_POOL) + 2) as u32
+}
+
+/// Start `digis` occupancy mocks `S0`, `S1`, ... in pools of 10k.
+fn start_pools(tb: &mut Testbed, digis: usize) {
+    for start in (0..digis).step_by(PER_POOL) {
+        let names: Vec<String> =
+            (start..(start + PER_POOL).min(digis)).map(|i| format!("S{i}")).collect();
+        tb.run_pool("Occupancy", &names, BTreeMap::new(), false).expect("pool runs");
+    }
+}
+
 /// Build a seed-13 EC2 testbed with logging off, start its digis with
-/// `start`, warm up for 2 s (pods start, sessions connect), then time a
-/// 5 s window.
-fn scale_run(nodes: u32, metrics: bool, start: impl FnOnce(&mut Testbed)) -> ScaleRun {
+/// `start` and warm up for 2 s (pods start, sessions connect). Returns
+/// the testbed and the seconds all that took.
+fn warm_testbed(nodes: u32, metrics: bool, start: impl FnOnce(&mut Testbed)) -> (Testbed, f64) {
     let t = Instant::now();
     let mut tb = Testbed::ec2(
         nodes,
@@ -138,13 +145,66 @@ fn scale_run(nodes: u32, metrics: bool, start: impl FnOnce(&mut Testbed)) -> Sca
     );
     start(&mut tb);
     tb.run_for(SimDuration::from_secs(2));
-    let setup_s = t.elapsed().as_secs_f64();
+    (tb, t.elapsed().as_secs_f64())
+}
+
+/// [`warm_testbed`], then time a 5 s window.
+fn scale_run(nodes: u32, metrics: bool, start: impl FnOnce(&mut Testbed)) -> ScaleRun {
+    let (mut tb, setup_s) = warm_testbed(nodes, metrics, start);
     let events_before = tb.sim().events_processed();
     let t = Instant::now();
     tb.run_for(SimDuration::from_secs(5));
     let window_s = t.elapsed().as_secs_f64();
     let total_events = tb.sim().events_processed();
     ScaleRun { setup_s, window_s, window_events: total_events - events_before, total_events }
+}
+
+/// One E13 `pooled-fail` run: the cost of a node failure under a pooled
+/// scene, each step timed on the wall clock.
+pub struct FailRun {
+    /// Seconds to build the testbed and run the 2 s warm-up.
+    pub setup_s: f64,
+    /// Seconds for one `checkpoint_all` over every digi.
+    pub checkpoint_s: f64,
+    /// Seconds for `fail_node` on the first pool's node.
+    pub fail_s: f64,
+    /// Seconds to run the 3 s window holding the failed pool's restart.
+    pub restart_window_s: f64,
+    /// Seconds to run the next, plain 3 s window.
+    pub plain_window_s: f64,
+    /// Digis running after both windows.
+    pub digis_after: usize,
+    /// Whether every digi of the failed pool sits on another node now.
+    pub moved: bool,
+}
+
+/// E13's `pooled-fail` row: [`scale_pooled`]'s scene (metrics on) warmed
+/// up, then one `checkpoint_all`, `fail_node` on the node of the first
+/// pool (`S0`…), a 3 s window holding that pool's restart from its
+/// checkpoints on a spare node, and a plain 3 s window.
+pub fn scale_pooled_fail(digis: usize) -> FailRun {
+    let (mut tb, setup_s) = warm_testbed(pooled_nodes(digis), true, |tb| start_pools(tb, digis));
+    let timed = |tb: &mut Testbed, step: &dyn Fn(&mut Testbed)| {
+        let t = Instant::now();
+        step(tb);
+        t.elapsed().as_secs_f64()
+    };
+    let checkpoint_s = timed(&mut tb, &|tb| tb.checkpoint_all());
+    let node = tb.digi_addr("S0").expect("S0 runs").node;
+    let fail_s = timed(&mut tb, &|tb| tb.fail_node(node).expect("node fails"));
+    let restart_window_s = timed(&mut tb, &|tb| tb.run_for(SimDuration::from_secs(3)));
+    let plain_window_s = timed(&mut tb, &|tb| tb.run_for(SimDuration::from_secs(3)));
+    let moved = (0..digis.min(PER_POOL))
+        .all(|i| tb.digi_addr(&format!("S{i}")).is_ok_and(|addr| addr.node != node));
+    FailRun {
+        setup_s,
+        checkpoint_s,
+        fail_s,
+        restart_window_s,
+        plain_window_s,
+        digis_after: tb.digi_count(),
+        moved,
+    }
 }
 
 /// Paper-style one-line report, printed by each bench.

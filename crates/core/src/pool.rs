@@ -30,9 +30,10 @@
 //! Cells live by value in one `Vec`, in the order they were hosted,
 //! instead of a per-digi `Rc<RefCell<...>>` object graph; a sorted name
 //! map gives each cell's index. Nothing removes a cell from a live host
-//! (stopping a dedicated digi unbinds its whole host), so an index held
-//! by a tick group or a pending actuation always names the same cell.
-//! Checkpoints read each cell's `model.fields()` directly.
+//! (stopping a dedicated digi unbinds its whole host, a pooled digi cannot
+//! be stopped, and a crash kills and restarts the whole host as one pod),
+//! so an index held by a tick group or a pending actuation always names
+//! the same cell. Checkpoints read each cell's `model.fields()` directly.
 //!
 //! ## Scheduling: one wheel entry per (interval, pool)
 //!
@@ -148,7 +149,6 @@ pub struct DigiPool {
     /// broker, e.g. during a partition or a broker crash); the next tick
     /// re-connects and re-subscribes, so coordination resumes after a heal.
     reconnect_pending: bool,
-    broker_losses: u64,
     stats: PoolStats,
 }
 
@@ -176,17 +176,17 @@ impl DigiPool {
             pending_responses: HashMap::default(),
             next_response_token: 0,
             reconnect_pending: false,
-            broker_losses: 0,
             stats: PoolStats::default(),
         }
     }
 
-    /// A shared pool at `addr` speaking MQTT to `broker` on one session,
-    /// with per-message service overhead applied to REST responses.
-    pub fn new(addr: Addr, broker: Addr, service_overhead: SimDuration) -> ServiceHandle<DigiPool> {
-        let conn = MqttConn::new(addr, broker, &format!("pool/{addr}"));
+    /// A shared pool at `addr` speaking MQTT to `broker` on one session
+    /// with client id `id`, with per-message service overhead applied to
+    /// REST responses.
+    pub fn new(addr: Addr, broker: Addr, overhead: SimDuration, id: &str) -> ServiceHandle<Self> {
+        let conn = MqttConn::new(addr, broker, id);
         let overhead_rng = Prng::new(addr.port as u64 ^ 0xF445);
-        Rc::new(RefCell::new(DigiPool::with_session(addr, conn, None, service_overhead, overhead_rng)))
+        Rc::new(RefCell::new(DigiPool::with_session(addr, conn, None, overhead, overhead_rng)))
     }
 
     /// The host of the dedicated digi `name`, to hold that one digi: the
@@ -214,6 +214,11 @@ impl DigiPool {
         self.addr
     }
 
+    /// The client id of the host's MQTT session.
+    pub(crate) fn session(&self) -> &str {
+        self.conn.client_id()
+    }
+
     /// Digis currently hosted.
     pub fn len(&self) -> usize {
         self.cells.len()
@@ -227,11 +232,6 @@ impl DigiPool {
     /// Counters, with the live cell count filled in.
     pub fn stats(&self) -> PoolStats {
         PoolStats { cells: self.cells.len(), ..self.stats.clone() }
-    }
-
-    /// How many times the pool's broker session died and was re-created.
-    pub fn broker_losses(&self) -> u64 {
-        self.broker_losses
     }
 
     /// Hosted digi names, sorted.
@@ -260,9 +260,9 @@ impl DigiPool {
         self.cells.get_mut(*self.ids.get(name)?)
     }
 
-    /// Overwrite a hosted digi's fields and reprocess (replay steps,
-    /// checkpoint restore). The cell keeps its place and tick group;
-    /// a changed model is republished. Returns `false` if not hosted here.
+    /// Overwrite a hosted digi's fields and reprocess (replay steps). The
+    /// cell keeps its place and tick group; a changed model is
+    /// republished. Returns `false` if not hosted here.
     pub fn force_fields(&mut self, sim: &mut Sim, name: &str, fields: Value) -> bool {
         let now = sim.now();
         let Some(cell) = self.cell_mut(name) else {
@@ -541,10 +541,7 @@ impl DigiPool {
                 ClientEvent::Message { topic, payload, .. } => {
                     self.handle_mqtt_message(sim, &topic, &payload);
                 }
-                ClientEvent::BrokerLost => {
-                    self.broker_losses += 1;
-                    self.reconnect_pending = true;
-                }
+                ClientEvent::BrokerLost => self.reconnect_pending = true,
                 ClientEvent::Connected { .. }
                 | ClientEvent::SubAck { .. }
                 | ClientEvent::PubAck { .. }

@@ -5,6 +5,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound::{Excluded, Included, Unbounded};
 use std::rc::Rc;
 
 use digibox_broker::Broker;
@@ -157,27 +158,25 @@ fn pod_name(name: &str) -> String {
     format!("digi-{}", name.to_lowercase())
 }
 
-/// A dedicated digi: its one-cell host plus what `dbox commit` records.
-struct DigiEntry {
-    handle: ServiceHandle<DigiPool>,
-    addr: Addr,
-    kind: String,
-    version: String,
-    managed: bool,
+/// Pools' pod names start with this. They sort after every `digi-` pod,
+/// so the pools are the tail of the pod table.
+const POOL: &str = "pool-";
+
+/// A running pod: its host (a dedicated digi's one-cell pool or a shared
+/// pool) and the params and `managed` flag `run_with`/`run_pool` was
+/// given (the cells' `meta` holds them as the fidelity rules made them).
+struct Pod {
+    host: ServiceHandle<DigiPool>,
     params: BTreeMap<String, Value>,
+    managed: bool,
 }
 
-/// A crashed digi awaiting its supervised restart.
+/// A crashed pod awaiting its supervised restart.
 struct PendingRestart {
     due: SimTime,
-    name: String,
-    kind: String,
-    params: BTreeMap<String, Value>,
-    managed: bool,
-    /// Children the digi had attached when it died.
-    attach: Vec<String>,
-    /// Last checkpointed field tree, restored after `Program::init`.
-    checkpoint: Option<Value>,
+    pod: String,
+    /// The pod as it died, unbound; its cells are what restarts.
+    dead: Pod,
     /// Failed placement attempts so far (node cordoned, cluster full…).
     attempts: u32,
 }
@@ -232,7 +231,8 @@ pub struct Testbed {
     broker_addr: Addr,
     catalog: Catalog,
     log: TraceLog,
-    digis: BTreeMap<String, DigiEntry>,
+    /// Every running pod by pod name: `digi-` pods, then `pool-` pods.
+    pods: BTreeMap<String, Pod>,
     checker: PropertyChecker,
     /// Trace cursor for feeding the property checker.
     checker_cursor: Option<u64>,
@@ -240,8 +240,6 @@ pub struct Testbed {
     next_app_port: u16,
     /// The developer-console MQTT session used by `edit`/`replay`.
     operator: Option<ServiceHandle<AppClient>>,
-    /// Pools created via [`Testbed::run_pool`].
-    pools: Vec<ServiceHandle<DigiPool>>,
     pending_restarts: Vec<PendingRestart>,
     /// When a killed broker's replacement rebinds (None = broker is up).
     pending_broker_restart: Option<SimTime>,
@@ -311,13 +309,12 @@ impl Testbed {
             broker_addr,
             catalog,
             log,
-            digis: BTreeMap::new(),
+            pods: BTreeMap::new(),
             checker: PropertyChecker::new(),
             checker_cursor: None,
             next_digi_port: 10_000,
             next_app_port: 50_000,
             operator: None,
-            pools: Vec::new(),
             pending_restarts: Vec::new(),
             pending_broker_restart: None,
             checkpoints: CheckpointStore::new(),
@@ -375,44 +372,64 @@ impl Testbed {
         &self.config
     }
 
-    /// Names of all running digis, sorted.
+    /// Names of all running digis, dedicated and pooled, sorted.
     pub fn digi_names(&self) -> Vec<String> {
-        self.digis.keys().cloned().collect()
+        let mut names = Vec::new();
+        for pod in self.pods.values() {
+            names.extend(pod.host.borrow().cells().map(|c| c.name().to_string()));
+        }
+        names.sort_unstable();
+        names
     }
 
-    /// Number of running digis: dedicated ones plus every pool member.
+    /// Number of running digis, dedicated and pooled.
     pub fn digi_count(&self) -> usize {
-        self.digis.len() + self.pools.iter().map(|p| p.borrow().len()).sum::<usize>()
+        self.pods.values().map(|p| p.host.borrow().len()).sum()
     }
 
-    /// The service address of a digi's REST API.
+    /// The service address of a digi's REST API: its own host's, or for a
+    /// pooled digi its pool's (which routes `/digi/<name>/...`).
     pub fn digi_addr(&self, name: &str) -> crate::Result<Addr> {
-        self.digis
-            .get(name)
-            .map(|d| d.addr)
-            .ok_or_else(|| TestbedError::UnknownDigi(name.to_string()))
+        Ok(self.host_of(name)?.1.host.borrow().addr())
     }
 
     /// Borrow a digi's host handle (tests, advanced drivers): the
-    /// one-cell [`DigiPool`] holding `name`.
+    /// one-cell [`DigiPool`] of a dedicated digi, or the shared pool
+    /// holding a pooled one.
     pub fn digi(&self, name: &str) -> crate::Result<ServiceHandle<DigiPool>> {
-        self.digis
-            .get(name)
-            .map(|d| d.handle.clone())
+        Ok(self.host_of(name)?.1.host.clone())
+    }
+
+    /// The running pod hosting `name`: its own pod, else the pool holding
+    /// it (found in the pool's own name map: no per-digi index).
+    fn host_of(&self, name: &str) -> crate::Result<(&String, &Pod)> {
+        let own = self.pods.get_key_value(&pod_name(name));
+        own.into_iter()
+            .chain(self.pods.range::<str, _>((Included(POOL), Unbounded)))
+            .find(|(_, pod)| pod.host.borrow().cell(name).is_some())
             .ok_or_else(|| TestbedError::UnknownDigi(name.to_string()))
     }
 
     /// Run `f` on a running digi's cell.
     fn with_cell<R>(&self, name: &str, f: impl FnOnce(&mut DigiCell) -> R) -> crate::Result<R> {
-        let handle = self.digi(name)?;
-        let mut host = handle.borrow_mut();
-        let cell = host.cell_mut(name).expect("a dedicated host holds its digi");
-        Ok(f(cell))
+        let mut host = self.host_of(name)?.1.host.borrow_mut();
+        Ok(f(host.cell_mut(name).expect("host_of found it there")))
     }
 
-    /// Whether the running digi `parent` has `child` attached.
-    fn has_attached(entry: &DigiEntry, parent: &str, child: &str) -> bool {
-        entry.handle.borrow().model(parent).is_some_and(|m| m.meta.attach.iter().any(|c| c == child))
+    /// Every `(child, parent)` pair, sorted, where a running scene outside
+    /// pod `skip` lists one of `children` (sorted) as attached: one walk
+    /// of the table.
+    fn parents_of(&self, children: &[&str], skip: &str) -> Vec<(String, String)> {
+        let mut pairs = Vec::new();
+        for (_, pod) in self.pods.iter().filter(|(pod, _)| *pod != skip) {
+            for cell in pod.host.borrow().cells() {
+                let listed = cell.model().meta.attach.iter();
+                let listed = listed.filter(|c| children.binary_search(&c.as_str()).is_ok());
+                pairs.extend(listed.map(|c| (c.clone(), cell.name().to_string())));
+            }
+        }
+        pairs.sort_unstable();
+        pairs
     }
 
     /// Cluster utilization: (pods, requested cpu millis, cpu capacity
@@ -432,10 +449,18 @@ impl Testbed {
         (pods, used, cap)
     }
 
-    /// Pod phase of a digi (orchestrator view). Works for crashed digis
-    /// too (their pod records persist through the backoff window).
+    /// Phase of the pod hosting a digi (orchestrator view). Works for
+    /// crashed digis too (their pod records persist through the backoff
+    /// window).
     pub fn pod_phase(&self, name: &str) -> Option<PodPhase> {
-        self.control.borrow().phase(&pod_name(name))
+        let pod = self.host_of(name).ok().map(|(pod, _)| pod);
+        let pod = pod.or_else(|| self.crashed(name).map(|r| &r.pod));
+        self.control.borrow().phase(&pod.cloned().unwrap_or_else(|| pod_name(name)))
+    }
+
+    /// The pending restart of the crashed pod that hosted `name`, if any.
+    fn crashed(&self, name: &str) -> Option<&PendingRestart> {
+        self.pending_restarts.iter().find(|r| r.dead.host.borrow().cell(name).is_some())
     }
 
     /// The checkpoint store (chaos scorecards and tests inspect it).
@@ -457,12 +482,6 @@ impl Testbed {
             .collect()
     }
 
-    /// How many times a digi's MQTT session was lost (transport-level
-    /// broker failure observed by the digi), if it is running.
-    pub fn broker_losses(&self, name: &str) -> Option<u64> {
-        self.digis.get(name).map(|e| e.handle.borrow().broker_losses())
-    }
-
     /// Snapshot the observability registry for this testbed (`dbox stats`,
     /// `dbox profile`, chaos scorecards). Late-bound gauges — values that
     /// only make sense at observation time, like population counts — are
@@ -481,7 +500,7 @@ impl Testbed {
                 spans: Vec::new(),
             };
         }
-        obs::set(self.obs.digis, self.digis.len() as i64);
+        obs::set(self.obs.digis, self.digi_count() as i64);
         obs::set(self.obs.pending_restarts, self.pending_restarts.len() as i64);
         obs::clock(self.sim.now().as_nanos());
         obs::snapshot()
@@ -494,7 +513,8 @@ impl Testbed {
         self.run_with(kind, name, BTreeMap::new(), false)
     }
 
-    /// `dbox run` with meta params and managed flag.
+    /// `dbox run` with meta params and managed flag. Refuses a name that
+    /// is already running, dedicated or pooled.
     pub fn run_with(
         &mut self,
         kind: &str,
@@ -502,56 +522,67 @@ impl Testbed {
         params: BTreeMap<String, Value>,
         managed: bool,
     ) -> crate::Result<()> {
-        self.start_digi(kind, name, params, managed, None, false)
-    }
-
-    /// The shared start path. `checkpoint` (a restored field tree) is
-    /// applied after `Program::init`, so a supervised restart resumes from
-    /// the last snapshot instead of cold-starting. `pod_exists` requeues
-    /// the crashed pod through the control plane instead of creating a new
-    /// one, preserving its restart count (and thus its backoff history).
-    fn start_digi(
-        &mut self,
-        kind: &str,
-        name: &str,
-        params: BTreeMap<String, Value>,
-        managed: bool,
-        checkpoint: Option<Value>,
-        pod_exists: bool,
-    ) -> crate::Result<()> {
-        if self.digis.contains_key(name) {
+        // A crashed pool's digis keep their names until it restarts (a
+        // crashed dedicated digi's pod record refuses its name below).
+        let crashed_pool = self.crashed(name).is_some_and(|r| r.pod.starts_with(POOL));
+        if crashed_pool || self.host_of(name).is_ok() {
             return Err(TestbedError::Setup(format!("digi {name:?} already running")));
         }
-        let (mut model, program, rng) = self.make_digi(kind, name, params.clone(), managed)?;
-        if let Some(fields) = checkpoint {
-            model.set_fields(fields)?;
-        }
-        let pod = pod_name(name);
-        if pod_exists {
+        let cell = self.make_digi(kind, name, params.clone(), managed)?;
+        self.start_pod(pod_name(name), None, params, managed, vec![cell])?;
+        Ok(())
+    }
+
+    /// The one start path: create the pod (or requeue it, keeping its
+    /// restart count and so its backoff, when it replaces the crashed host
+    /// `dead`), place it, host `cells` on one new host and bind that after
+    /// the start delay. A `pool-` pod's host is a shared pool (on `dead`'s
+    /// session, if any); any other is the digi's own.
+    fn start_pod(
+        &mut self,
+        pod: String,
+        dead: Option<&DigiPool>,
+        params: BTreeMap<String, Value>,
+        managed: bool,
+        cells: Vec<(Model, Box<dyn DigiProgram>, Prng)>,
+    ) -> crate::Result<(ServiceHandle<DigiPool>, Addr)> {
+        let pooled = pod.starts_with(POOL);
+        if dead.is_some() {
             self.control.borrow_mut().requeue(&pod);
         } else {
-            let pod_spec =
-                if program.is_scene() { PodSpec::scene(&pod) } else { PodSpec::mock(&pod) };
-            self.control.borrow_mut().create_pod(pod_spec)?;
+            // A pool's resources scale sub-linearly with occupancy (the
+            // whole point of consolidation).
+            let n = cells.len() as u64;
+            let spec = match cells.first() {
+                Some((_, program, _)) if !pooled && !program.is_scene() => PodSpec::mock(&pod),
+                Some(_) if !pooled => PodSpec::scene(&pod),
+                _ => PodSpec::scene(&pod).with_resources(10 + n / 4, 16 + n / 8),
+            };
+            self.control.borrow_mut().create_pod(spec)?;
         }
         let (addr, overhead, start_delay) = self.place(&pod)?;
-        let version = model.meta.version.clone();
-        let handle = DigiPool::dedicated(addr, self.broker_addr, overhead, name, &rng);
-        let scene_logic = self.scene_logic();
-        handle.borrow_mut().host(&mut self.sim, model, program, rng, self.log.clone(), scene_logic);
-        self.digis.insert(
-            name.to_string(),
-            DigiEntry {
-                handle: handle.clone(),
-                addr,
-                kind: kind.to_string(),
-                version,
-                managed,
-                params,
-            },
-        );
-        self.bind_after(start_delay, addr, handle, pod);
-        Ok(())
+        let host = match cells.first() {
+            Some((model, _, rng)) if !pooled => {
+                DigiPool::dedicated(addr, self.broker_addr, overhead, &model.meta.name, rng)
+            }
+            _ => {
+                let session = dead.map_or_else(|| format!("pool/{addr}"), |d| d.session().into());
+                DigiPool::new(addr, self.broker_addr, overhead, &session)
+            }
+        };
+        let scene_logic = self.config.fidelity != FidelityMode::DeviceCentric;
+        for (model, program, rng) in cells {
+            let log = self.log.clone();
+            host.borrow_mut().host(&mut self.sim, model, program, rng, log, scene_logic);
+        }
+        self.pods.insert(pod.clone(), Pod { host: host.clone(), params, managed });
+        // Container start: bind the host after the startup delay.
+        let (control, bound) = (self.control.clone(), host.clone());
+        self.sim.call_after(start_delay, move |sim| {
+            sim.bind(addr, bound);
+            control.borrow_mut().mark_running(&pod);
+        });
+        Ok((host, addr))
     }
 
     /// The one model-setup path (dedicated and pooled digis alike):
@@ -587,12 +618,6 @@ impl Testbed {
         Ok((model, program, rng))
     }
 
-    /// Whether scenes run their coordination logic (off in device-centric
-    /// mode).
-    fn scene_logic(&self) -> bool {
-        self.config.fidelity != FidelityMode::DeviceCentric
-    }
-
     /// The one placement path: reconcile the control plane for the created
     /// (or requeued) pod and give its host a fresh port on the chosen
     /// node. Returns the host address, the node's per-message service
@@ -626,97 +651,81 @@ impl Testbed {
         Ok((addr, overhead, start_delay))
     }
 
-    /// Container start: bind the host after the startup delay.
-    fn bind_after(
-        &mut self,
-        delay: SimDuration,
-        addr: Addr,
-        host: ServiceHandle<DigiPool>,
-        pod_name: String,
-    ) {
-        let control = self.control.clone();
-        self.sim.call_after(delay, move |sim| {
-            sim.bind(addr, host);
-            control.borrow_mut().mark_running(&pod_name);
-        });
-    }
-
-    /// `dbox stop <name>` — stop and remove a digi.
+    /// `dbox stop <name>` — stop and remove a dedicated digi, detaching it
+    /// from every scene that lists it. A pooled digi cannot be stopped:
+    /// nothing removes a cell from a live host, so this is an error and
+    /// the pool runs on.
     pub fn stop(&mut self, name: &str) -> crate::Result<()> {
-        let entry = self
-            .digis
-            .remove(name)
-            .ok_or_else(|| TestbedError::UnknownDigi(name.to_string()))?;
-        self.control.borrow_mut().delete_pod(&pod_name(name))?;
-        self.sim.unbind(entry.addr);
+        let pod = self.host_of(name)?.0.clone();
+        if pod.starts_with(POOL) {
+            return Err(TestbedError::Setup(format!("pooled digi {name:?} cannot be stopped")));
+        }
+        let stopped = self.pods.remove(&pod).expect("host_of found it");
+        self.control.borrow_mut().delete_pod(&pod)?;
+        self.sim.unbind(stopped.host.borrow().addr());
         self.checkpoints.forget(name);
         self.log.lifecycle(self.sim.now(), name, "stopped", "");
-        // Detach from any scene that references it.
-        let parents: Vec<String> = self
-            .digis
-            .iter()
-            .filter(|(n, e)| Self::has_attached(e, n, name))
-            .map(|(n, _)| n.clone())
-            .collect();
-        for parent in parents {
-            let handle = self.digis[&parent].handle.clone();
-            handle.borrow_mut().detach_child(&mut self.sim, &parent, name);
+        for (child, parent) in self.parents_of(&[name], &pod) {
+            self.detach(&child, &parent)?;
         }
         Ok(())
     }
 
-    /// Kill a digi's process without deleting the pod (fault injection).
-    /// The control plane backs the pod off (exponentially, capped) and the
-    /// testbed restarts it from its last checkpoint — like a crashed
-    /// container whose volume survived. The pod record persists so
-    /// consecutive crashes accumulate restart counts (and backoff).
+    /// Kill the process of the pod hosting `name` without deleting the
+    /// pod (fault injection). A pooled digi's process is its pool's, so
+    /// the whole pool dies. The control plane backs the pod off
+    /// (exponentially, capped) and the testbed restarts it as one pod,
+    /// every digi from its last checkpoint — like a crashed container
+    /// whose volume survived. The pod record persists so consecutive
+    /// crashes accumulate restart counts (and backoff).
     pub fn kill(&mut self, name: &str) -> crate::Result<()> {
-        let entry = self
-            .digis
-            .get(name)
-            .ok_or_else(|| TestbedError::UnknownDigi(name.to_string()))?;
-        let addr = entry.addr;
-        let pod = pod_name(name);
-        let kind = entry.kind.clone();
-        let params = entry.params.clone();
-        let managed = entry.managed;
-        self.sim.unbind(addr);
-        self.log.lifecycle(self.sim.now(), name, "killed", "");
-        let attach = self.with_cell(name, |cell| cell.model().meta.attach.clone())?;
-        self.digis.remove(name);
-        self.control.borrow_mut().report_exit(&pod);
-        let restart_delay = self.control.borrow().restart_delay_for(&pod);
-        let checkpoint = self.checkpoints.restore(name);
-        // Rebuild outside the event (deterministic order): schedule a
-        // testbed-level restart marker the driver must apply.
-        self.pending_restarts.push(PendingRestart {
-            due: self.sim.now() + restart_delay,
-            name: name.to_string(),
-            kind,
-            params,
-            managed,
-            attach,
-            checkpoint,
-            attempts: 0,
-        });
+        let pod = self.host_of(name)?.0.clone();
+        self.kill_pod(&pod);
         Ok(())
     }
 
+    /// Unbind a pod's host, log `killed` per digi, queue its restart.
+    fn kill_pod(&mut self, pod: &str) {
+        let dead = self.pods.remove(pod).expect("a running pod");
+        let now = self.sim.now();
+        self.sim.unbind(dead.host.borrow().addr());
+        for cell in dead.host.borrow().cells() {
+            self.log.lifecycle(now, cell.name(), "killed", "");
+        }
+        self.control.borrow_mut().report_exit(pod);
+        let restart_delay = self.control.borrow().restart_delay_for(pod);
+        // Rebuild outside the event (deterministic order): schedule a
+        // testbed-level restart marker the driver must apply.
+        self.pending_restarts.push(PendingRestart {
+            due: now + restart_delay,
+            pod: pod.to_string(),
+            dead,
+            attempts: 0,
+        });
+    }
+
     /// Fail a whole node: cordon it so nothing reschedules onto it, then
-    /// kill every digi it hosts. Their pods back off and — once the
-    /// backoff elapses — reschedule onto surviving nodes, restoring from
-    /// their checkpoints. Restore capacity with [`Testbed::restore_node`].
+    /// kill every pod on it, pools included. The pods back off and — once
+    /// the backoff elapses — reschedule onto surviving nodes, each digi
+    /// restored from its checkpoint. The broker keeps running, even when
+    /// it is bound on this node: its own fault is
+    /// [`Testbed::kill_broker`]. Restore capacity with
+    /// [`Testbed::restore_node`].
     pub fn fail_node(&mut self, node: NodeId) -> crate::Result<()> {
         self.control.borrow_mut().set_cordon(node, true);
         self.log.lifecycle(self.sim.now(), "testbed", "node-down", &format!("node {}", node.0));
-        let victims: Vec<String> = self
-            .digis
-            .iter()
-            .filter(|(_, e)| e.addr.node == node)
-            .map(|(n, _)| n.clone())
-            .collect();
-        for name in victims {
-            self.kill(&name)?;
+        // Kill in digi-name order: restarts due together apply in kill
+        // order.
+        let mut victims = Vec::new();
+        for (pod, p) in &self.pods {
+            let host = p.host.borrow();
+            if host.addr().node == node {
+                victims.push((host.cells().next().map(|c| c.name().to_string()), pod.clone()));
+            }
+        }
+        victims.sort_unstable();
+        for (_, pod) in victims {
+            self.kill_pod(&pod);
         }
         Ok(())
     }
@@ -787,12 +796,7 @@ impl Testbed {
 
     /// `dbox attach <child> <parent>` — attach a digi to a scene.
     pub fn attach(&mut self, child: &str, parent: &str) -> crate::Result<()> {
-        let child_kind = self
-            .digis
-            .get(child)
-            .ok_or_else(|| TestbedError::UnknownDigi(child.to_string()))?
-            .kind
-            .clone();
+        let child_kind = self.with_cell(child, |cell| cell.model().meta.kind.clone())?;
         if !self.with_cell(parent, |cell| cell.is_scene())? {
             return Err(TestbedError::NotAScene(parent.to_string()));
         }
@@ -830,8 +834,10 @@ impl Testbed {
     /// generation).
     pub fn set_managed(&mut self, name: &str, managed: bool) -> crate::Result<()> {
         self.with_cell(name, |cell| cell.set_managed(managed))?;
-        if let Some(e) = self.digis.get_mut(name) {
-            e.managed = managed;
+        // A pool's flag stays what `run_pool` was given; restarts read cells'.
+        let own = self.pods.get_mut(&pod_name(name));
+        if let Some(own) = own.filter(|p| p.host.borrow().cell(name).is_some()) {
+            own.managed = managed;
         }
         Ok(())
     }
@@ -856,10 +862,13 @@ impl Testbed {
     /// service (one pod, one broker session, one timer wheel) instead of
     /// one host each — the consolidation the paper's §6 "efficient
     /// simulation" question asks about. Pooled digis are set up exactly
-    /// like dedicated ones and speak the same topics and REST routes
-    /// (`/digi/<name>/...`), but are not addressable through
-    /// `check`/`edit`/`attach` (use the returned handle). The
-    /// `e9_faas_pooling` bench compares both modes.
+    /// like dedicated ones, speak the same topics and REST routes
+    /// (`/digi/<name>/...`) and are addressed by name like them (`check`,
+    /// `edit`, `attach`, `kill`…); only [`Testbed::stop`] refuses them.
+    /// The pool is one pod: a crash of any of its digis or a failure of
+    /// its node kills and restarts the whole pool. Names are not checked
+    /// against running digis. The `e9_faas_pooling` bench compares both
+    /// modes.
     pub fn run_pool(
         &mut self,
         kind: &str,
@@ -867,28 +876,12 @@ impl Testbed {
         params: BTreeMap<String, Value>,
         managed: bool,
     ) -> crate::Result<(ServiceHandle<DigiPool>, Addr)> {
-        let members = names
+        let cells = names
             .iter()
             .map(|name| self.make_digi(kind, name, params.clone(), managed))
             .collect::<crate::Result<Vec<_>>>()?;
-        // One pod for the whole pool; resources scale sub-linearly with
-        // occupancy (the whole point of consolidation).
-        let pod_name = format!("pool-{}", self.next_digi_port);
-        let pod_spec = PodSpec::scene(&pod_name)
-            .with_resources(10 + names.len() as u64 / 4, 16 + names.len() as u64 / 8);
-        self.control.borrow_mut().create_pod(pod_spec)?;
-        let (addr, overhead, start_delay) = self.place(&pod_name)?;
-        let pool = DigiPool::new(addr, self.broker_addr, overhead);
-        let scene_logic = self.scene_logic();
-        {
-            let mut p = pool.borrow_mut();
-            for (model, program, rng) in members {
-                p.host(&mut self.sim, model, program, rng, self.log.clone(), scene_logic);
-            }
-        }
-        self.bind_after(start_delay, addr, pool.clone(), pod_name);
-        self.pools.push(pool.clone());
-        Ok((pool, addr))
+        let pod = format!("{POOL}{}", self.next_digi_port);
+        self.start_pod(pod, None, params, managed, cells)
     }
 
     // ---- applications ----
@@ -957,44 +950,18 @@ impl Testbed {
 
     fn apply_due_restarts(&mut self) {
         let now = self.sim.now();
-        let due: Vec<PendingRestart> = {
-            let (due, rest): (Vec<_>, Vec<_>) =
-                std::mem::take(&mut self.pending_restarts).into_iter().partition(|r| r.due <= now);
-            self.pending_restarts = rest;
-            due
-        };
+        let (due, rest): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.pending_restarts).into_iter().partition(|r| r.due <= now);
+        self.pending_restarts = rest;
         for r in due {
             let _span = obs::enter(self.obs.f_restart);
-            match self.start_digi(&r.kind, &r.name, r.params.clone(), r.managed, r.checkpoint.clone(), true)
-            {
-                Ok(()) => {
-                    obs::inc(self.obs.restarts);
-                    let detail =
-                        if r.checkpoint.is_some() { "from checkpoint" } else { "cold start" };
-                    self.log.lifecycle(now, &r.name, "restarted", detail);
-                    // Re-attach the digi's own children; their retained
-                    // models re-mirror the scene on subscribe.
-                    for child in &r.attach {
-                        let _ = self.attach(child, &r.name);
-                    }
-                    // Re-attach to any parent scene that still references
-                    // it (idempotent; refreshes the parent's mirror once
-                    // the restarted digi republishes its model).
-                    let parents: Vec<String> = self
-                        .digis
-                        .iter()
-                        .filter(|(n, e)| n.as_str() != r.name && Self::has_attached(e, n, &r.name))
-                        .map(|(n, _)| n.clone())
-                        .collect();
-                    for parent in parents {
-                        let _ = self.attach(&r.name, &parent);
-                    }
-                }
+            match self.restart(&r) {
+                Ok(()) => {}
                 Err(_) if r.attempts < MAX_RESTART_ATTEMPTS => {
                     // Placement failed (node cordoned, cluster full…):
                     // retry on the pod's backoff schedule.
                     obs::inc(self.obs.restart_retries);
-                    let delay = self.control.borrow().restart_delay_for(&pod_name(&r.name));
+                    let delay = self.control.borrow().restart_delay_for(&r.pod);
                     self.pending_restarts.push(PendingRestart {
                         due: now + delay,
                         attempts: r.attempts + 1,
@@ -1003,37 +970,66 @@ impl Testbed {
                 }
                 Err(e) => {
                     obs::inc(self.obs.restart_abandoned);
-                    self.log.lifecycle(now, &r.name, "restart-abandoned", &e.to_string());
+                    for cell in r.dead.host.borrow().cells() {
+                        self.log.lifecycle(now, cell.name(), "restart-abandoned", &e.to_string());
+                    }
                 }
             }
         }
     }
 
-    /// Snapshot every running digi's model into the checkpoint store now:
-    /// dedicated digis in name order, then each pool's members.
+    /// Start a crashed pod again, each digi as it died: its last
+    /// checkpoint applied after `Program::init` (else a cold start), its
+    /// `managed` flag and children, re-attached to every scene listing it.
+    fn restart(&mut self, r: &PendingRestart) -> crate::Result<()> {
+        let now = self.sim.now();
+        let dead = r.dead.host.borrow();
+        let (mut cells, mut restored) = (Vec::new(), Vec::new());
+        for cell in dead.cells() {
+            let meta = &cell.model().meta;
+            let made = self.make_digi(&meta.kind, &meta.name, r.dead.params.clone(), meta.managed);
+            let (mut model, program, rng) = made?;
+            let checkpoint = self.checkpoints.restore(&meta.name);
+            restored.push(checkpoint.is_some());
+            if let Some(fields) = checkpoint {
+                model.set_fields(fields)?;
+            }
+            cells.push((model, program, rng));
+        }
+        self.start_pod(r.pod.clone(), Some(&dead), r.dead.params.clone(), r.dead.managed, cells)?;
+        for (cell, restored) in dead.cells().zip(restored) {
+            obs::inc(self.obs.restarts);
+            let detail = if restored { "from checkpoint" } else { "cold start" };
+            self.log.lifecycle(now, cell.name(), "restarted", detail);
+            // Re-attach its own children; their retained models re-mirror
+            // the scene on subscribe.
+            for child in &cell.model().meta.attach {
+                let _ = self.attach(child, cell.name());
+            }
+        }
+        // Re-attach to any parent scene that still references a restarted
+        // digi (idempotent; refreshes the parent's mirror once the
+        // restarted digi republishes its model).
+        let names: Vec<&str> = dead.cells().map(DigiCell::name).collect();
+        for (child, parent) in self.parents_of(&names, &r.pod) {
+            let _ = self.attach(&child, &parent);
+        }
+        Ok(())
+    }
+
+    /// Snapshot every running digi's model, dedicated and pooled, into the
+    /// checkpoint store now.
     pub fn checkpoint_all(&mut self) {
         let _span = obs::enter(self.obs.f_checkpoint);
         obs::inc(self.obs.checkpoint_passes);
         let now = self.sim.now();
-        for host in self.digis.values().map(|e| &e.handle).chain(&self.pools) {
-            for cell in host.borrow().cells() {
+        for pod in self.pods.values() {
+            for cell in pod.host.borrow().cells() {
                 let model = cell.model();
                 self.checkpoints.save(cell.name(), model.fields(), model.revision(), now);
                 obs::inc(self.obs.checkpoint_snapshots);
             }
         }
-    }
-
-    /// Restore a pooled digi's fields from its last checkpoint (taken by
-    /// [`Testbed::checkpoint_all`]). The cell keeps its place and tick
-    /// group. Returns `false` when the digi has no checkpoint or is not
-    /// hosted in any pool.
-    pub fn restore_pooled(&mut self, name: &str) -> bool {
-        let Some(fields) = self.checkpoints.restore(name) else {
-            return false;
-        };
-        let pools = self.pools.clone();
-        pools.iter().any(|pool| pool.borrow_mut().force_fields(&mut self.sim, name, fields.clone()))
     }
 
     fn take_due_checkpoints(&mut self) {
@@ -1115,22 +1111,26 @@ impl Testbed {
     /// The current ensemble as a manifest, **without** validating it.
     /// `dbox lint` uses this: a lint pass must see a broken ensemble as-is
     /// and report every finding, not stop at the first validation error.
+    /// A manifest has no pools: it lists the dedicated digis, in name
+    /// order.
     pub fn describe(&self, setup_name: &str) -> SetupManifest {
         let mut manifest = SetupManifest::new(setup_name, self.config.seed);
-        for (name, entry) in &self.digis {
-            manifest.instances.push(InstanceDecl {
-                name: name.clone(),
-                kind: entry.kind.clone(),
-                version: entry.version.clone(),
-                managed: entry.managed,
-                params: entry.params.clone(),
-            });
-            if let Some(model) = entry.handle.borrow().model(name) {
-                for child in &model.meta.attach {
-                    manifest.attachments.push((child.clone(), name.clone()));
+        for pod in self.pods.range::<str, _>((Unbounded, Excluded(POOL))).map(|(_, pod)| pod) {
+            for cell in pod.host.borrow().cells() {
+                let meta = &cell.model().meta;
+                manifest.instances.push(InstanceDecl {
+                    name: meta.name.clone(),
+                    kind: meta.kind.clone(),
+                    version: meta.version.clone(),
+                    managed: pod.managed,
+                    params: pod.params.clone(),
+                });
+                for child in &meta.attach {
+                    manifest.attachments.push((child.clone(), meta.name.clone()));
                 }
             }
         }
+        manifest.instances.sort_unstable_by(|a, b| a.name.cmp(&b.name));
         manifest.attachments.sort();
         manifest
     }
@@ -1150,7 +1150,7 @@ impl Testbed {
     ) -> crate::Result<digibox_registry::Digest> {
         let manifest = self.snapshot(setup_name)?;
         let mut packages = Vec::new();
-        let mut kinds: Vec<&String> = self.digis.values().map(|e| &e.kind).collect();
+        let mut kinds: Vec<&String> = manifest.instances.iter().map(|i| &i.kind).collect();
         kinds.sort();
         kinds.dedup();
         for kind in kinds {

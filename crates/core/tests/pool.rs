@@ -7,6 +7,7 @@ use digibox_core::program::{DigiProgram, LoopCtx, SimCtx};
 use digibox_core::{AppEvent, Catalog, FidelityMode, Testbed, TestbedConfig};
 use digibox_model::{vmap, FieldKind, Schema, Value};
 use digibox_net::SimDuration;
+use digibox_orchestrator::PodPhase;
 
 struct Counter;
 impl DigiProgram for Counter {
@@ -131,44 +132,75 @@ fn pool_uses_one_broker_session_for_all_cells() {
 }
 
 #[test]
-fn pooled_checkpoints_snapshot_and_restore_in_place() {
-    // Periodic checkpoints off: the manual `checkpoint_all` below must be
-    // the latest one when C3 is restored.
+fn pooled_checkpoints_snapshot_every_member() {
+    // Periodic checkpoints off: only the manual `checkpoint_all` below
+    // snapshots anything.
     let config = TestbedConfig { checkpoint_every: None, ..Default::default() };
     let mut tb = Testbed::laptop(catalog(), config);
     let (pool, _) = tb.run_pool("Counter", &names(5), BTreeMap::new(), false).unwrap();
     tb.run_for(SimDuration::from_secs(3));
-    let n_at_ckpt = pool
-        .borrow()
-        .model("C3")
-        .unwrap()
-        .lookup(&"n".into())
-        .and_then(Value::as_int)
-        .unwrap();
-    assert!(n_at_ckpt >= 2);
     tb.checkpoint_all();
-    // every pooled member got a snapshot
     for name in ["C0", "C1", "C2", "C3", "C4"] {
         let info = tb.checkpoints().info(name).unwrap();
         assert!(info.revision > 0, "{name} checkpointed at revision 0");
+        let n = pool.borrow().model(name).unwrap().lookup(&"n".into()).cloned();
+        assert!(n.as_ref().and_then(Value::as_int) >= Some(2), "{name} only ticked to {n:?}");
+        let saved = tb.checkpoints().restore(name).unwrap();
+        assert_eq!(saved.get("n").cloned(), n, "{name}'s snapshot is its live model");
     }
-    // let the counter advance past the checkpoint, then roll C3 back
+}
+
+#[test]
+fn pooled_digis_resolve_by_name_and_refuse_stop() {
+    let mut tb = Testbed::laptop(catalog(), TestbedConfig::default());
+    let (pool, pool_addr) = tb.run_pool("Counter", &names(5), BTreeMap::new(), false).unwrap();
+    tb.run_for(SimDuration::from_secs(2));
+    assert_eq!(tb.digi_count(), 5);
+    assert_eq!(tb.digi_names(), names(5));
+    assert_eq!(tb.digi_addr("C2").unwrap(), pool_addr, "a pooled digi is served by its pool");
+    let phase = tb.pod_phase("C2");
+    assert_eq!(phase, Some(PodPhase::Running { node: pool_addr.node }));
+    let n = |tb: &mut Testbed| tb.check("C2").unwrap().lookup(&"n".into()).and_then(Value::as_int);
+    let before = n(&mut tb);
+    assert_eq!(before, pool.borrow().model("C2").unwrap().lookup(&"n".into()).and_then(Value::as_int));
+
+    // Nothing removes a cell from a live pool, so stopping one is refused
+    // and the whole pool runs on.
+    let err = tb.stop("C2").unwrap_err();
+    assert_eq!(err.to_string(), "setup error: pooled digi \"C2\" cannot be stopped");
+    tb.run_for(SimDuration::from_secs(2));
+    assert!(n(&mut tb) > before, "the pool stopped ticking after a refused stop");
+    assert_eq!(tb.digi_count(), 5);
+    assert!(tb.check("ghost").is_err());
+}
+
+#[test]
+fn a_crash_restarts_the_whole_pool_on_its_own_session() {
+    let config = TestbedConfig { checkpoint_every: None, ..Default::default() };
+    let mut tb = Testbed::laptop(catalog(), config);
+    tb.run_pool("Counter", &names(3), BTreeMap::new(), false).unwrap();
+    tb.run_for(SimDuration::from_secs(2));
+    tb.checkpoint_all();
+    let n = |tb: &mut Testbed, name: &str| tb.check(name).unwrap().lookup(&"n".into()).cloned();
+    let saved: Vec<_> = ["C0", "C2"].iter().map(|name| n(&mut tb, name)).collect();
     tb.run_for(SimDuration::from_secs(3));
-    let n_later = pool
-        .borrow()
-        .model("C3")
-        .unwrap()
-        .lookup(&"n".into())
-        .and_then(Value::as_int)
-        .unwrap();
-    assert!(n_later > n_at_ckpt, "counter should advance between checkpoints");
-    assert!(tb.restore_pooled("C3"));
-    let p = pool.borrow();
-    let n_restored = p.model("C3").unwrap().lookup(&"n".into()).and_then(Value::as_int).unwrap();
-    assert_eq!(n_restored, n_at_ckpt, "restore must rewind to the checkpointed value");
-    // unknown / un-pooled names restore nothing
-    drop(p);
-    assert!(!tb.restore_pooled("ghost"));
+
+    // A pooled digi's process is its pool's: all three go down together.
+    tb.kill("C1").unwrap();
+    assert_eq!(tb.digi_count(), 0);
+    assert!(tb.check("C0").is_err());
+    // Their names stay taken while the pool waits out its backoff.
+    let err = tb.run("Counter", "C0").unwrap_err();
+    assert_eq!(err.to_string(), "setup error: digi \"C0\" already running");
+    // Restored from the checkpoint, not from where they were at the kill:
+    // checked before the first tick after the restart.
+    tb.run_for(SimDuration::from_millis(900));
+    assert_eq!(tb.digi_count(), 3);
+    assert_eq!(["C0", "C2"].iter().map(|name| n(&mut tb, name)).collect::<Vec<_>>(), saved);
+    // Nothing publishes to the dead pool's topics, so only a takeover by
+    // the restarted pool's session can end the dead one's.
+    let broker = tb.broker().borrow();
+    assert_eq!((broker.session_count(), broker.stats().session_takeovers), (1, 1));
 }
 
 #[test]

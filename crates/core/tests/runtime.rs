@@ -7,7 +7,6 @@ use digibox_core::program::{DigiProgram, LoopCtx, SimCtx};
 use digibox_core::{
     AppClient, AppEvent, Catalog, Condition, FidelityMode, SceneProperty, Testbed, TestbedConfig,
 };
-use digibox_broker::QoS;
 use digibox_core::properties::DigiCondition;
 use digibox_model::{vmap, FieldKind, Schema, Value};
 use digibox_net::SimDuration;
@@ -415,33 +414,20 @@ fn actuation_delay_defers_intent() {
         let mut tb = laptop_testbed();
         let params: BTreeMap<String, Value> =
             [("actuation_delay_ms".to_string(), Value::Int(2000))].into_iter().collect();
-        let pool = if pooled {
-            Some(tb.run_pool("Lamp", &["L1".to_string()], params, false).unwrap().0)
+        if pooled {
+            tb.run_pool("Lamp", &["L1".to_string()], params, false).unwrap();
         } else {
             tb.run_with("Lamp", "L1", params, false).unwrap();
-            None
-        };
-        tb.run_for(SimDuration::from_secs(1));
-        if pooled {
-            // pooled digis are not `edit` targets: publish what `edit` sends
-            let editor = tb.app_with_mqtt(tb.broker_addr().node, "editor");
-            tb.run_for(SimDuration::from_millis(100));
-            let payload = vmap! { "power" => "on" }.to_json().into_bytes();
-            editor.borrow_mut().publish(tb.sim(), "digibox/digi/L1/intent", payload, QoS::AtLeastOnce);
-        } else {
-            tb.edit("L1", vmap! { "power" => "on" }).unwrap();
         }
-        let model = |tb: &mut Testbed| match &pool {
-            Some(pool) => pool.borrow().model("L1").unwrap().clone(),
-            None => tb.check("L1").unwrap(),
-        };
+        tb.run_for(SimDuration::from_secs(1));
+        tb.edit("L1", vmap! { "power" => "on" }).unwrap();
         // shortly after the edit the actuation hasn't landed yet
         tb.run_for(SimDuration::from_millis(500));
-        let model_now = model(&mut tb);
+        let model_now = tb.check("L1").unwrap();
         assert_eq!(model_now.status(&"power".into()).unwrap().as_str(), Some("off"), "pooled={pooled}");
         // after the actuation delay it has
         tb.run_for(SimDuration::from_secs(3));
-        let model_now = model(&mut tb);
+        let model_now = tb.check("L1").unwrap();
         assert_eq!(model_now.status(&"power".into()).unwrap().as_str(), Some("on"), "pooled={pooled}");
     }
 }

@@ -243,3 +243,56 @@ fn library_campaign_is_clean_post_heal() {
     );
     assert!(scorecard.clean());
 }
+
+/// Pooled occupancy sensors beside the demo room, in one pool that the
+/// plan below fails with its node.
+const POOLED: [&str; 4] = ["P0", "P1", "P2", "P3"];
+
+/// The demo room plus [`POOLED`] in one pool, placed on node 0 beside
+/// the broker.
+fn pooled_room(seed: u64) -> digibox_core::Result<Testbed> {
+    let mut tb = demo_room(seed)?;
+    let names: Vec<String> = POOLED.iter().map(|n| n.to_string()).collect();
+    let (_, addr) = tb.run_pool("Occupancy", &names, BTreeMap::new(), false)?;
+    assert_eq!(addr.node.0, 0, "the plan fails the pool's node");
+    tb.run_for(SimDuration::from_secs(1));
+    Ok(tb)
+}
+
+/// Node 0 goes down with the pool on it (the broker there runs on), then
+/// a pooled digi crashes in the pool's new home.
+fn pooled_plan() -> FaultPlan {
+    FaultPlan::new("pooled", 30_000, 10_000)
+        .with(FaultSpec {
+            at_ms: 5_000,
+            duration_ms: 5_000,
+            jitter_ms: 1_000,
+            kind: FaultKind::NodeDown { node: 0 },
+        })
+        .with(FaultSpec {
+            at_ms: 15_000,
+            duration_ms: 2_000,
+            jitter_ms: 1_000,
+            kind: FaultKind::CrashDigi { digi: "P2".into() },
+        })
+}
+
+#[test]
+fn pooled_campaign_restarts_the_pool_and_is_jobs_invariant() {
+    let campaign = Campaign::new(pooled_plan()).unwrap();
+    let a = campaign.run_jobs(&[1, 2], 1, pooled_room);
+    let b = campaign.run_jobs(&[1, 2], 2, pooled_room);
+    assert_eq!(json::encode(&a), json::encode(&b), "scorecard must be byte-identical across --jobs");
+    assert!(a.errors.is_empty(), "no seed may fail: {a:?}");
+    for s in &a.per_seed {
+        for name in POOLED {
+            // Both faults take the whole pool down: the node failure and
+            // the crash of one of its digis.
+            assert_eq!(s.restarts.get(name), Some(&2), "{name} (seed {}): {:?}", s.seed, s.restarts);
+            let up = s.availability[name];
+            assert!(up < 1.0, "{name} (seed {}) shows no downtime: {up}", s.seed);
+        }
+    }
+    assert_eq!(a.post_heal_violations(), 0, "post-heal violations:\n{}", a.render());
+    assert!(a.clean());
+}

@@ -244,3 +244,100 @@ fn node_failure_reschedules_to_survivor() {
     tb.run("Lamp", "L6").unwrap();
     assert_eq!(tb.digi_addr("L6").unwrap().node, victim);
 }
+
+/// A `killed` or `restarted` lifecycle record's action and detail.
+fn kill_or_restart(r: &digibox_trace::TraceRecord) -> Option<(&str, &str)> {
+    match &r.kind {
+        digibox_trace::RecordKind::Lifecycle { action, detail }
+            if action == "killed" || action == "restarted" =>
+        {
+            Some((action.as_str(), detail.as_str()))
+        }
+        _ => None,
+    }
+}
+
+#[test]
+fn node_failure_restarts_a_pool_from_its_checkpoints() {
+    let mut tb = Testbed::ec2(2, full_catalog(), TestbedConfig { seed: 3, ..Default::default() });
+    let lamps: Vec<String> = (0..6).map(|i| format!("P{i}")).collect();
+    let (pool, pool_addr) = tb.run_pool("Lamp", &lamps, no_params(), false).unwrap();
+    let editor = tb.app_with_mqtt(tb.broker_addr().node, "editor");
+    tb.run_for(SimDuration::from_secs(1));
+    let intent = |tb: &mut Testbed, payload: &'static str| {
+        for name in &lamps {
+            let topic = format!("digibox/digi/{name}/intent");
+            editor.borrow_mut().publish(tb.sim(), &topic, payload.as_bytes(), QoS::AtLeastOnce);
+        }
+    };
+    intent(&mut tb, r#"{"power": "on"}"#);
+    // past the first checkpoint (every 5 s), so each lamp is saved "on"
+    tb.run_for(SimDuration::from_secs(5));
+    for name in &lamps {
+        let power = pool.borrow().model(name).unwrap().lookup(&"power.status".into()).cloned();
+        assert_eq!(power, Some(Value::from("on")), "{name} was switched on");
+    }
+
+    let victim = pool_addr.node;
+    let seq0 = tb.log().records().last().map(|r| r.seq);
+    tb.fail_node(victim).unwrap();
+    // An intent sent while the pool is down reaches no live digi.
+    intent(&mut tb, r#"{"intensity": 0.5}"#);
+    // the first restart backoff (500 ms) plus the container start
+    tb.run_for(SimDuration::from_secs(3));
+    assert!(!tb.sim().is_bound(pool_addr), "the failed node's pool is still bound");
+    let records = tb.log().since(seq0);
+    for name in &lamps {
+        let mine: Vec<&digibox_trace::TraceRecord> =
+            records.iter().filter(|r| &r.source == name).collect();
+        let lives: Vec<(&str, &str)> = mine.iter().filter_map(|r| kill_or_restart(r)).collect();
+        assert_eq!(lives, [("killed", ""), ("restarted", "from checkpoint")], "{name}");
+        // Dead between the failure and the restart: nothing but the kill.
+        let down: Vec<_> = mine
+            .iter()
+            .skip(1)
+            .take_while(|r| kill_or_restart(r).is_none())
+            .map(|r| &r.kind)
+            .collect();
+        assert!(down.is_empty(), "{name} wrote records while its pool was down: {down:?}");
+        assert_ne!(tb.digi_addr(name).unwrap().node, victim, "{name} restarted on the failed node");
+        let power = tb.check(name).unwrap().lookup(&"power.status".into()).cloned();
+        assert_eq!(power, Some(Value::from("on")), "{name} resumed its checkpointed state");
+    }
+    assert_eq!(tb.digi_count(), lamps.len());
+    let node = tb.digi_addr("P0").unwrap().node;
+    assert_eq!(tb.pod_phase("P0").and_then(|p| p.node()), Some(node), "the pool's pod moved");
+}
+
+#[test]
+fn pooled_child_rejoins_its_scene_after_its_pool_restarts() {
+    let mut tb = laptop(6);
+    let sensors: Vec<String> = (0..3).map(|i| format!("O{i}")).collect();
+    tb.run_pool("Occupancy", &sensors, no_params(), true).unwrap();
+    tb.run("Room", "R1").unwrap();
+    tb.run_for(SimDuration::from_secs(1));
+    for name in &sensors {
+        tb.attach(name, "R1").unwrap();
+    }
+    tb.run_for(SimDuration::from_secs(5));
+
+    // A crash of one pooled digi takes its whole pool down.
+    tb.kill("O1").unwrap();
+    assert_eq!(tb.digi_count(), 1, "only the room survives its sensors' pool");
+    assert!(tb.check("O0").is_err(), "a pooled digi is down with its pool");
+    tb.run_for(SimDuration::from_secs(5));
+    assert_eq!(tb.digi_count(), 4);
+    let room = tb.check("R1").unwrap();
+    assert_eq!(room.meta.attach, sensors, "the room lists its restarted sensors");
+    tb.run_for(SimDuration::from_secs(10));
+    let presence = tb
+        .check("R1")
+        .unwrap()
+        .lookup(&"human_presence".into())
+        .and_then(Value::as_bool)
+        .unwrap();
+    for name in &sensors {
+        let t = tb.check(name).unwrap().lookup(&"triggered".into()).and_then(Value::as_bool);
+        assert_eq!(t, Some(presence), "{name} out of sync with its room after the restart");
+    }
+}
